@@ -15,11 +15,6 @@ accuracy.  The aggregate profile+full-run speedup must clear
 ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x), and every run refreshes the
 perf trajectory in ``benchmarks/results/BENCH_perf.json``.
 
-When numba is installed the profile and full-run phases are measured a
-second time with the JIT kernel tier engaged (``tier: "nb"`` records),
-after an untimed compilation warmup; the pooled additional speedup over
-the py tier must clear ``REPRO_BENCH_MIN_JIT_SPEEDUP`` (default 3x).
-
 Scale/workload knobs are inherited from ``conftest.py``; see
 ``EXPERIMENTS.md`` for how to read the report.
 """
@@ -40,14 +35,11 @@ from repro.experiments.common import experiment_machine
 from repro.profiling.profiler import FunctionalProfiler
 from repro.sim.machine import Machine
 from repro.sim.warmup import MRUWarmup
-from repro.util import jit
 from repro.util.timing import BenchmarkReport, time_call
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 NUM_THREADS = 8
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-#: Additional pooled speedup the nb tier must buy over the py tier.
-MIN_JIT_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_JIT_SPEEDUP", "3.0"))
 #: Best-of-N timing to damp scheduler/turbo noise.
 REPEAT = int(os.environ.get("REPRO_BENCH_REPEAT", "2"))
 
@@ -89,23 +81,13 @@ def report(runner):
         else f"BENCH_perf_scale-{runner.scale:g}.json"
     )
     payload = rep.write(RESULTS_DIR / name)
-    combined = payload["combined"]["py"]["profile+full_run"]
-    status = jit.jit_status()
-    print(f"\nactive JIT tier: {status['tier']} (mode {status['mode']})")
-    print(f"combined profile+full_run speedup: {combined:.2f}x "
+    combined = payload["combined"]["profile+full_run"]
+    print(f"\ncombined profile+full_run speedup: {combined:.2f}x "
           f"(floor {MIN_SPEEDUP}x)")
     assert combined >= MIN_SPEEDUP, (
         f"hot-path engine regressed: combined profile+full-run speedup "
         f"{combined:.2f}x is below the {MIN_SPEEDUP}x floor"
     )
-    if "nb" in payload["combined"]:
-        extra = payload["combined"]["nb"]["vs_py"]
-        print(f"nb tier additional speedup over py: {extra:.2f}x "
-              f"(floor {MIN_JIT_SPEEDUP}x)")
-        assert extra >= MIN_JIT_SPEEDUP, (
-            f"JIT kernel tier buys only {extra:.2f}x over the py engines, "
-            f"below the {MIN_JIT_SPEEDUP}x floor"
-        )
 
 
 def test_perf_all_workloads(runner, report):
@@ -115,18 +97,10 @@ def test_perf_all_workloads(runner, report):
     state); the reference side runs the *seed* system faithfully, which
     regenerated every region trace on every pass.  Identical generator
     seeds guarantee both sides still see identical streams, which the
-    parity assertions check result-by-result.  With numba installed,
-    profile and full_run are measured again under the nb kernel tier
-    (compilation warmed outside the timed region) and parity-checked
-    against the same references.
+    parity assertions check result-by-result.
     """
     config = experiment_machine(NUM_THREADS)
     from repro.workloads import get_workload
-
-    nb_tiers: tuple[str, ...] = ()
-    if jit.numba_available():
-        jit.warm_kernels()  # compile outside every timed region
-        nb_tiers = ("nb",)
 
     for name in runner.benchmarks:
         workload = runner.workload(name, NUM_THREADS)
@@ -140,21 +114,11 @@ def test_perf_all_workloads(runner, report):
         ref_prof = time_call(
             lambda: ReferenceFunctionalProfiler(ref_workload).profile(), REPEAT
         )
-        with jit.forced_tier("py"):
-            fast_prof = time_call(
-                lambda: FunctionalProfiler(workload).profile(), REPEAT
-            )
+        fast_prof = time_call(
+            lambda: FunctionalProfiler(workload).profile(), REPEAT
+        )
         _assert_profiles_identical(fast_prof.value, ref_prof.value)
         report.add(name, "profile", fast_prof.seconds, ref_prof.seconds)
-        for tier in nb_tiers:
-            with jit.forced_tier(tier):
-                timed = time_call(
-                    lambda: FunctionalProfiler(workload).profile(),
-                    REPEAT, warmup=1,
-                )
-            _assert_profiles_identical(timed.value, ref_prof.value)
-            report.add(name, "profile", timed.seconds, ref_prof.seconds,
-                       tier=tier)
 
         # -- full detailed simulation -------------------------------------
         ref_full = time_call(
@@ -163,23 +127,12 @@ def test_perf_all_workloads(runner, report):
             ).run_full(ref_workload),
             REPEAT,
         )
-        with jit.forced_tier("py"):
-            fast_full = time_call(
-                lambda: Machine(config).run_full(workload), REPEAT
-            )
+        fast_full = time_call(
+            lambda: Machine(config).run_full(workload), REPEAT
+        )
         for fr, rr in zip(fast_full.value.regions, ref_full.value.regions):
             _assert_metrics_identical(fr, rr)
         report.add(name, "full_run", fast_full.seconds, ref_full.seconds)
-        for tier in nb_tiers:
-            with jit.forced_tier(tier):
-                timed = time_call(
-                    lambda: Machine(config).run_full(workload),
-                    REPEAT, warmup=1,
-                )
-            for fr, rr in zip(timed.value.regions, ref_full.value.regions):
-                _assert_metrics_identical(fr, rr)
-            report.add(name, "full_run", timed.seconds, ref_full.seconds,
-                       tier=tier)
 
         # -- barrierpoint warmup capture + replay -------------------------
         mid = workload.num_regions // 2
@@ -206,8 +159,7 @@ def test_perf_all_workloads(runner, report):
             )
 
         ref_rep = time_call(_ref_replay, REPEAT)
-        with jit.forced_tier("py"):
-            fast_rep = time_call(_fast_replay, REPEAT)
+        fast_rep = time_call(_fast_replay, REPEAT)
         _assert_metrics_identical(fast_rep.value, ref_rep.value)
         report.add(name, "barrierpoint_replay",
                    fast_rep.seconds, ref_rep.seconds)

@@ -295,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeat", type=int, default=None,
         help="sets REPRO_BENCH_REPEAT (best-of-N timing)",
     )
-    bench_p.add_argument(
-        "--jit", action="store_true",
-        help="sets REPRO_JIT=on — require the numba kernel tier and "
-             "report per-tier timings (fails loudly without numba)",
-    )
 
     clean_p = sub.add_parser(
         "clean", help="delete or garbage-collect the artifact store"
@@ -914,15 +909,6 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for name, value in env.items():
         if value is not None:
             os.environ[name] = str(value)
-    if args.jit:
-        os.environ["REPRO_JIT"] = "on"
-    from repro.util import jit as jit_mod
-
-    status = jit_mod.jit_status()
-    print(f"JIT tier: {status['tier']} (mode {status['mode']})")
-    note = jit_mod.degradation_note()
-    if note is not None:
-        print(f"warning: {note}")
     known = bench_targets(bench_dir)
     unknown = [t for t in args.targets if t not in known]
     if unknown:

@@ -59,7 +59,6 @@ from repro.faults import mark_process_sacrificial, maybe_inject
 from repro.profiling.profiler import RegionProfile
 from repro.sim.machine import FullRunResult
 from repro.store import ArtifactStore, code_fingerprint
-from repro.util import jit
 from repro.workloads import WORKLOAD_NAMES, Workload, get_workload
 
 CORE_COUNTS = (8, 32)
@@ -223,20 +222,12 @@ class RunReport:
         pool_failures: Worker-pool crashes survived.
         serial_fallback: Whether execution degraded to serial.
         resumed: Passes skipped thanks to the checkpoint journal.
-        notes: Environment degradations worth surfacing (e.g. the JIT
-            kernel tier was requested but numba is unavailable).
     """
 
     tasks: list[TaskReport] = field(default_factory=list)
     pool_failures: int = 0
     serial_fallback: bool = False
     resumed: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def note(self, message: str | None) -> None:
-        """Append a degradation note (idempotent; ``None`` ignored)."""
-        if message is not None and message not in self.notes:
-            self.notes.append(message)
 
     def noteworthy(self) -> bool:
         """Whether there is anything beyond a clean first-try run."""
@@ -244,28 +235,9 @@ class RunReport:
             self.pool_failures
             or self.serial_fallback
             or self.resumed
-            or self.notes
             or any(t.attempts > 1 or t.disposition == "failed"
                    for t in self.tasks)
         )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the report."""
-        return {
-            "pool_failures": self.pool_failures,
-            "serial_fallback": self.serial_fallback,
-            "resumed": self.resumed,
-            "notes": list(self.notes),
-            "tasks": [
-                {
-                    "task": t.label,
-                    "attempts": t.attempts,
-                    "disposition": t.disposition,
-                    "errors": list(t.errors),
-                }
-                for t in self.tasks
-            ],
-        }
 
     def render(self) -> str:
         """Human summary (one line per touched pass)."""
@@ -274,8 +246,6 @@ class RunReport:
             f"{self.pool_failures} pool failure(s)"
             + (", degraded to serial" if self.serial_fallback else "")
         ]
-        for message in self.notes:
-            lines.append(f"  note: {message}")
         for t in self.tasks:
             detail = f"  {t.label}: {t.disposition} after {t.attempts} attempt(s)"
             if t.errors:
@@ -664,11 +634,6 @@ def compute_pair(task: tuple) -> tuple[str, int, str | None, dict]:
     return name, num_threads, machine, states
 
 
-#: Backward-compatible private aliases (pre-``repro serve`` callers).
-_pair_key = pair_key
-_compute_pair = compute_pair
-
-
 @dataclass
 class ExperimentRunner:
     """Memoizing, store-backed driver for all experiments.
@@ -704,14 +669,6 @@ class ExperimentRunner:
     _fulls: dict = field(default_factory=dict, repr=False)
     _selections: dict = field(default_factory=dict, repr=False)
     _warmups: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        """Record environment degradations the moment the runner exists.
-
-        ``prefetch`` notes them too, but serial runs (``workers`` <= 1)
-        never reach the fan-out — the note must not depend on the path.
-        """
-        self.report.note(jit.degradation_note())
 
     # ------------------------------------------------------------------
     # Store plumbing
@@ -817,7 +774,6 @@ class ExperimentRunner:
             RetryExhaustedError: When at least one task kept failing
                 through its whole attempt budget.
         """
-        self.report.note(jit.degradation_note())
         if pairs is None:
             pairs = [(b, nt) for b in self.benchmarks for nt in CORE_COUNTS]
         normalized = [

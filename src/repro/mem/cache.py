@@ -11,7 +11,7 @@ values never matter to timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import CacheConfig
 
@@ -60,22 +60,13 @@ class SetAssocCache:
     The per-set dicts hold resident lines in LRU-to-MRU insertion order;
     dirty lines are tracked in a side set, so hit paths stay one dict
     operation.
-
-    When the kernel tier (:mod:`repro.util.jit`) manages this cache's
-    content in flat arrays, the owning hierarchy installs ``_sync_hook``;
-    every public entry point fires it first, so the dict state is
-    materialized from the arrays before anything reads or mutates it.
-    The hook is a cheap no-op whenever the dicts already hold authority.
     """
-
-    #: Kernel-tier materialization seam (class default: no kernel state).
-    _sync_hook = None
 
     def __init__(
         self, config: CacheConfig, stats: CacheStats | None = None
     ) -> None:
         self.config = config
-        self._stats = stats if stats is not None else CacheStats()
+        self.stats = stats if stats is not None else CacheStats()
         self._num_sets = config.num_sets
         self._set_mask = self._num_sets - 1
         self._assoc = config.associativity
@@ -85,43 +76,26 @@ class SetAssocCache:
         self._dirty: set[int] = set()
 
     @property
-    def stats(self) -> CacheStats:
-        """Hit/miss/eviction counters (kernel-tier deltas flushed first)."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
-        return self._stats
-
-    @property
     def latency(self) -> int:
         """Access latency in core cycles (from the config)."""
         return self.config.latency_cycles
 
     def lookup(self, line: int) -> bool:
         """Probe for ``line``; on hit, promote to MRU. Updates stats."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         s = self._sets[line & self._set_mask]
         if s.pop(line, _MISS) is not _MISS:
             s[line] = None  # reinsert at MRU position
-            self._stats.hits += 1
+            self.stats.hits += 1
             return True
-        self._stats.misses += 1
+        self.stats.misses += 1
         return False
 
     def contains(self, line: int) -> bool:
         """Presence check without LRU update or stats."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         return line in self._sets[line & self._set_mask]
 
     def fill(self, line: int, dirty: bool = False) -> _EvictedLine | None:
         """Insert ``line`` at MRU; return the victim if one was evicted."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         s = self._sets[line & self._set_mask]
         if s.pop(line, _MISS) is not _MISS:
             s[line] = None
@@ -135,8 +109,8 @@ class SetAssocCache:
             was_dirty = old in self._dirty
             if was_dirty:
                 self._dirty.discard(old)
-                self._stats.dirty_evictions += 1
-            self._stats.evictions += 1
+                self.stats.dirty_evictions += 1
+            self.stats.evictions += 1
             victim = _EvictedLine(old, was_dirty)
         s[line] = None
         if dirty:
@@ -150,37 +124,25 @@ class SetAssocCache:
 
     def is_dirty(self, line: int) -> bool:
         """True if the line is resident and modified."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         return line in self._dirty
 
     def remove(self, line: int) -> bool:
         """Invalidate ``line`` (coherence); returns True if it was present."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         s = self._sets[line & self._set_mask]
         if s.pop(line, _MISS) is not _MISS:
             self._dirty.discard(line)
-            self._stats.invalidations += 1
+            self.stats.invalidations += 1
             return True
         return False
 
     def flush(self) -> None:
         """Drop all contents (counters preserved)."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         for s in self._sets:
             s.clear()
         self._dirty.clear()
 
     def resident_lines(self) -> list[int]:
         """All resident lines, set by set, LRU to MRU within a set."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         out: list[int] = []
         for s in self._sets:
             out.extend(s)
@@ -189,7 +151,4 @@ class SetAssocCache:
     @property
     def occupancy(self) -> int:
         """Number of resident lines."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
         return sum(len(s) for s in self._sets)

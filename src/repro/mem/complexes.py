@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.config import MachineConfig
 from repro.errors import ConfigError, SimulationError
 from repro.mem.directory import DistributedDirectory
@@ -67,26 +65,6 @@ class ComplexHierarchy(MemoryHierarchy):
         self._domain_socket = list(topo.domain_socket)
         self._hop_extra = topo.hop_extra_table()
         self._l3_lat = slice_config.latency_cycles
-
-    def _kernel_params(self) -> dict:
-        """Kernel parameters in this backend's own domain generality.
-
-        Unlike the flat backends' socket view, every kernel axis is live
-        here: per-complex L3 slices as separate tag rows, the full
-        three-class hop table, and address-interleaved directory homes
-        (``home = line % num_homes``).
-        """
-        homes = self.directory.homes
-        return {
-            "domain_of": np.asarray(self._domain_of, dtype=np.int64),
-            "domain_socket": np.asarray(self._domain_socket, dtype=np.int64),
-            "domain_mask": np.asarray(self._domain_mask, dtype=np.int64),
-            "hop_extra": np.asarray(self._hop_extra, dtype=np.int64),
-            "l3_lat": self._l3_lat,
-            "num_homes": self.directory.num_homes,
-            "home_stats": tuple(home._stats for home in homes),
-            "home_route": lambda line: homes[line % len(homes)],
-        }
 
     # ------------------------------------------------------------------
     # Helpers (domain-generalized twins of the base class's)
@@ -166,8 +144,6 @@ class ComplexHierarchy(MemoryHierarchy):
         """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        if self._kernel_fns is not None:
-            return self._kernel_access_block(core, lines, writes, mlp)
         socket = self._socket_of[core]
         domain = self._domain_of[core]
         domain_of = self._domain_of

@@ -19,7 +19,7 @@ Two organisations share that per-line contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,49 +38,15 @@ class DirectoryStats:
 
 
 class Directory:
-    """Sharer/owner tracking for an MSI protocol over private caches.
-
-    When the kernel tier (:mod:`repro.util.jit`) holds this directory's
-    state in flat arrays, the owning hierarchy installs ``_sync_hook``;
-    the ``stats`` / ``_sharers`` / ``_owner`` properties fire it first,
-    so callers always observe materialized dict state.  The hook is a
-    cheap no-op whenever the dicts already hold authority.
-    """
-
-    #: Kernel-tier materialization seam (class default: no kernel state).
-    _sync_hook = None
+    """Sharer/owner tracking for an MSI protocol over private caches."""
 
     def __init__(
         self, num_cores: int, stats: DirectoryStats | None = None
     ) -> None:
         self.num_cores = num_cores
-        self._stats = stats if stats is not None else DirectoryStats()
-        self._sharers_map: dict[int, int] = {}
-        self._owner_map: dict[int, int] = {}
-
-    @property
-    def stats(self) -> DirectoryStats:
-        """Coherence counters (kernel-tier deltas flushed first)."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
-        return self._stats
-
-    @property
-    def _sharers(self) -> dict[int, int]:
-        """The live line → sharer-mask map (kernel state materialized)."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
-        return self._sharers_map
-
-    @property
-    def _owner(self) -> dict[int, int]:
-        """The live line → M-owner map (kernel state materialized)."""
-        hook = self._sync_hook
-        if hook is not None:
-            hook()
-        return self._owner_map
+        self.stats = stats if stats is not None else DirectoryStats()
+        self._sharers: dict[int, int] = {}
+        self._owner: dict[int, int] = {}
 
     def sharers(self, line: int) -> int:
         """Bitmask of cores that may hold ``line``."""

@@ -22,11 +22,8 @@ attribute lookups.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import MachineConfig
 from repro.errors import SimulationError
-from repro.mem import kernels as mem_kernels
 from repro.mem.cache import SetAssocCache
 from repro.mem.directory import Directory
 from repro.mem.dram import Dram
@@ -223,18 +220,6 @@ class MemoryHierarchy:
         self._intra_c2c = 0
         self._xcomplex_c2c = 0
         self._xsocket_c2c = 0
-        # Kernel tier (repro.util.jit): when active — and the machine's
-        # sharer masks fit an int64 — access_block routes through the
-        # flat-array kernels instead of the dict loop below.  State is
-        # built lazily on first use; the reference subclass keeps its own
-        # access paths, so the seam stays dict-only there.
-        self._kstate = None
-        self._kernel_fns = None
-        if (
-            self.cache_cls is SetAssocCache
-            and n_cores <= mem_kernels.MAX_KERNEL_CORES
-        ):
-            self._kernel_fns = mem_kernels.kernel_bundle()
         # Per-core hot-path context: everything ``access_block`` needs,
         # bound once (caches are flushed in place, never replaced, so the
         # bindings stay valid for the hierarchy's lifetime).
@@ -277,8 +262,6 @@ class MemoryHierarchy:
 
     def snapshot(self) -> AccessCounters:
         """Copy all cumulative counters (cheap; used per region)."""
-        if self._kstate is not None:
-            self._kstate.flush_stats()
         return AccessCounters(
             loads=self._loads,
             stores=self._stores,
@@ -372,66 +355,6 @@ class MemoryHierarchy:
         return remote
 
     # ------------------------------------------------------------------
-    # Kernel tier (flat-array access path)
-    # ------------------------------------------------------------------
-
-    def _kernel_params(self) -> dict:
-        """Topology/latency parameters for the unified hierarchy kernel.
-
-        The flat backends hand the kernel the socket view: domains *are*
-        sockets, every off-diagonal hop costs the remote-socket extra,
-        and a single directory home serves all lines — under which the
-        generalized kernel arithmetic reduces exactly to this class's
-        local/remote split (asserted by the three-way parity battery).
-        """
-        num_sockets = self._num_sockets
-        hop = np.full(
-            (num_sockets, num_sockets),
-            self.machine.remote_socket_extra_cycles,
-            dtype=np.int64,
-        )
-        np.fill_diagonal(hop, 0)
-        return {
-            "domain_of": np.asarray(self._socket_of, dtype=np.int64),
-            "domain_socket": np.arange(num_sockets, dtype=np.int64),
-            "domain_mask": np.asarray(self._socket_mask, dtype=np.int64),
-            "hop_extra": hop,
-            "l3_lat": self.machine.l3.latency_cycles,
-            "num_homes": 1,
-            "home_stats": (self.directory._stats,),
-            "home_route": lambda line: self.directory,
-        }
-
-    def _kernel_directories(self):
-        """The concrete :class:`Directory` nodes the kernel state mirrors."""
-        homes = getattr(self.directory, "homes", None)
-        return homes if homes is not None else (self.directory,)
-
-    def _materialize_kernel_state(self) -> None:
-        """``_sync_hook`` target: hand authority back to the dict engines."""
-        kstate = self._kstate
-        if kstate is not None:
-            kstate.materialize()
-
-    def _kernel_access_block(self, core, lines, writes, mlp: float) -> float:
-        """Kernel-tier twin of ``access_block`` (state built on first use)."""
-        kstate = self._kstate
-        if kstate is None:
-            kstate = self._kstate = mem_kernels.HierarchyKernelState(self)
-            hook = self._materialize_kernel_state
-            for cache in (*self.l1d, *self.l2, *self.l3):
-                cache._sync_hook = hook
-            for node in self._kernel_directories():
-                node._sync_hook = hook
-        return kstate.run(
-            core,
-            np.ascontiguousarray(lines, dtype=np.int64),
-            np.ascontiguousarray(writes, dtype=np.bool_),
-            mlp,
-            self.prefetch_degree,
-        )
-
-    # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
 
@@ -449,8 +372,6 @@ class MemoryHierarchy:
         """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        if self._kernel_fns is not None:
-            return self._kernel_access_block(core, lines, writes, mlp)
         (socket,
          l1_stats, l1_sets, l1_mask, l1_assoc,
          l2_stats, l2_sets, l2_mask, l2_assoc,
@@ -719,11 +640,6 @@ class MemoryHierarchy:
 
     def flush_all(self) -> None:
         """Cold-start: empty every cache and the directory."""
-        if self._kstate is not None:
-            # Drop kernel-held content first (stats deltas are preserved
-            # by flushing them into the counters), so the dict clears
-            # below act on materialized-equivalent state.
-            self._kstate.reset()
         for cache in (*self.l1i, *self.l1d, *self.l2, *self.l3):
             cache.flush()
         self.directory.flush()

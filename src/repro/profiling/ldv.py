@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.kernels import make_distance_engine
+from repro.profiling.stackdist import StackDistanceEngine
 
 #: Power-of-two distance bins 2^0 .. 2^22, plus one cold bin for first
 #: touches (infinite distance).  2^22 lines = 256 MB of distinct data,
@@ -42,7 +42,7 @@ class LruStackProfiler:
     __slots__ = ("_engine", "_hist")
 
     def __init__(self) -> None:
-        self._engine = make_distance_engine()
+        self._engine = StackDistanceEngine()
         self._hist = np.zeros(NUM_LDV_BUCKETS, dtype=np.int64)
 
     @property

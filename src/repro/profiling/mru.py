@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.profiling import kernels as _kernels
 from repro.profiling.stackdist import FLUSH_THRESHOLD, StackDistanceEngine
 from repro.sim.warmup import MRUWarmupData
 
@@ -40,19 +39,7 @@ class MRUTracker:
         if capacity_lines <= 0:
             raise WorkloadError("capacity_lines must be positive")
         self.capacity_lines = capacity_lines
-        # Kernel tier (repro.util.jit): per-core flat-array MRU tables
-        # that reproduce the seed dict semantics exactly, replacing the
-        # stack-distance-engine reduction below.
-        fns = _kernels.kernel_bundle()
-        if fns is not None:
-            self._kstates = [
-                _kernels.MRUKernelState(capacity_lines, fns)
-                for _ in range(num_cores)
-            ]
-            self._engines = []
-        else:
-            self._kstates = None
-            self._engines = [StackDistanceEngine() for _ in range(num_cores)]
+        self._engines = [StackDistanceEngine() for _ in range(num_cores)]
         # Dirty flag per line, aligned with each engine's line table.
         self._dirty: list[np.ndarray] = [
             _EMPTY_DIRTY for _ in range(num_cores)
@@ -93,9 +80,6 @@ class MRUTracker:
             writes = np.concatenate([c[1] for c in pending])
         self._pending[core] = []
         self._pending_size[core] = 0
-        if self._kstates is not None:
-            self._kstates[core].observe(lines, writes)
-            return
         n = int(lines.size)
         view = self._engines[core].observe(
             lines, distance_floor=self.capacity_lines
@@ -149,13 +133,6 @@ class MRUTracker:
         """Freeze current state as warmup data for ``region_index``."""
         per_core = []
         cap = self.capacity_lines
-        if self._kstates is not None:
-            for core in range(len(self._kstates)):
-                self._flush(core)
-            return MRUWarmupData(
-                region_index=region_index,
-                per_core=tuple(state.items() for state in self._kstates),
-            )
         for core in range(len(self._engines)):
             self._flush(core)
         for engine, dirty in zip(self._engines, self._dirty):
@@ -173,6 +150,4 @@ class MRUTracker:
     def occupancy(self, core: int) -> int:
         """Number of lines currently tracked for ``core``."""
         self._flush(core)
-        if self._kstates is not None:
-            return self._kstates[core].live
         return min(self._engines[core].unique_lines, self.capacity_lines)

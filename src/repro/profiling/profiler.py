@@ -22,8 +22,7 @@ from repro.errors import WorkloadError
 from repro.profiling.bbv import collect_region_bbv
 from repro.profiling.ldv import NUM_LDV_BUCKETS, bucketize
 from repro.profiling.mru import MRUTracker
-from repro.profiling.kernels import make_distance_engine
-from repro.profiling.stackdist import FLUSH_THRESHOLD
+from repro.profiling.stackdist import FLUSH_THRESHOLD, StackDistanceEngine
 from repro.sim.warmup import MRUWarmupData
 from repro.workloads.base import Workload
 
@@ -125,7 +124,7 @@ class _LdvBatcher:
     __slots__ = ("engine", "hist", "_chunks", "_regions", "_pending")
 
     def __init__(self, num_regions: int) -> None:
-        self.engine = make_distance_engine()
+        self.engine = StackDistanceEngine()
         self.hist = np.zeros((num_regions, NUM_LDV_BUCKETS), dtype=np.int64)
         self._chunks: list[np.ndarray] = []
         self._regions: list[int] = []

@@ -15,8 +15,7 @@ GET      ``/artifacts/<kind>/<key>`` Fetch a cached artifact's validated
                                      pickled payload bytes (the exact body
                                      the store holds — byte-identical to a
                                      direct CLI run's artifact).
-GET      ``/healthz``                Liveness (``ok`` / ``draining``) plus
-                                     the active JIT kernel tier.
+GET      ``/healthz``                Liveness (``ok`` / ``draining``).
 GET      ``/stats``                  Supervisor/store counters.
 =======  ==========================  =========================================
 
@@ -43,7 +42,6 @@ from urllib.parse import unquote, urlsplit
 from repro.errors import ConfigError, InjectedFaultError, ReproError, WorkloadError
 from repro.faults import maybe_inject
 from repro.serve.supervisor import JobSupervisor, ServiceDrainingError
-from repro.util import jit
 
 #: Structured request-log channel (one JSON object per line).
 log = logging.getLogger("repro.serve")
@@ -149,9 +147,7 @@ class ServeAPIHandler(BaseHTTPRequestHandler):
         parts = [unquote(p) for p in path.strip("/").split("/") if p]
         if path == "/healthz":
             state = "draining" if self.supervisor.draining else "ok"
-            return self._send_json({
-                "status": state, "jit_tier": jit.active_tier(),
-            })
+            return self._send_json({"status": state})
         if path == "/stats":
             return self._send_json(self.supervisor.stats())
         if path == "/jobs":

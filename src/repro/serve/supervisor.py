@@ -50,7 +50,6 @@ from repro.experiments.common import (
 from repro.faults import maybe_inject
 from repro.serve.jobs import JobRecord, JobSpec
 from repro.store import ArtifactStore, put_count
-from repro.util import jit
 
 #: Journal location under the artifact-store root.
 JOURNAL_DIR = "serve"
@@ -418,7 +417,6 @@ class JobSupervisor:
             "uptime_s": round(time.time() - self._started_at, 3),
             "workers": self.workers,
             "draining": self._draining,
-            "jit": jit.jit_status(),
             "jobs": dict(counters, queued=queued, running=running),
             "store": {
                 "root": str(self.store.root),

@@ -3,12 +3,6 @@
 ``benchmarks/test_perf.py`` uses these to time the fast engines against
 their seed references and to persist a machine-readable perf trajectory in
 ``benchmarks/results/BENCH_perf.json`` that future PRs must not regress.
-
-Timings can carry an execution *tier* label (``py`` for the pure-Python
-engines, ``nb`` for the numba-compiled kernels; see
-:mod:`repro.util.jit`), and :func:`time_call` supports explicit warmup
-calls so one-time costs — JIT compilation above all — never land inside
-the timed region.
 """
 
 from __future__ import annotations
@@ -32,25 +26,17 @@ class TimedResult:
     value: Any
 
 
-def time_call(
-    fn: Callable[[], Any], repeat: int = 1, warmup: int = 0
-) -> TimedResult:
+def time_call(fn: Callable[[], Any], repeat: int = 1) -> TimedResult:
     """Time ``fn()`` with ``perf_counter``; keeps the best of ``repeat``.
 
     Args:
         fn: Zero-argument callable to measure.
         repeat: Timed invocations; the fastest one wins (damps scheduler
             and turbo noise).
-        warmup: Untimed invocations run first.  Use ``warmup >= 1``
-            whenever ``fn`` may trigger one-time work — JIT compilation,
-            cache population, lazy imports — that must not pollute the
-            measurement.
 
     Returns:
-        The best wall-clock time and the value of the last *timed* call.
+        The best wall-clock time and the value of the last call.
     """
-    for _ in range(max(0, warmup)):
-        fn()
     best = float("inf")
     value = None
     for _ in range(max(1, repeat)):
@@ -64,13 +50,12 @@ def time_call(
 
 @dataclass
 class PhaseTiming:
-    """One (workload, phase, tier) fast-vs-reference measurement."""
+    """One (workload, phase) fast-vs-reference measurement."""
 
     workload: str
     phase: str
     fast_seconds: float
     reference_seconds: float
-    tier: str = "py"
 
     @property
     def speedup(self) -> float:
@@ -93,92 +78,46 @@ class BenchmarkReport:
         phase: str,
         fast_seconds: float,
         reference_seconds: float,
-        tier: str = "py",
     ) -> PhaseTiming:
         """Record one measurement and return it."""
-        record = PhaseTiming(
-            workload, phase, fast_seconds, reference_seconds, tier
-        )
+        record = PhaseTiming(workload, phase, fast_seconds, reference_seconds)
         self.records.append(record)
         return record
 
-    def tiers(self) -> tuple[str, ...]:
-        """Distinct tiers measured, sorted."""
-        return tuple(sorted({r.tier for r in self.records}))
-
-    def combined_speedup(
-        self, phases: tuple[str, ...], tier: str = "py"
-    ) -> float:
+    def combined_speedup(self, phases: tuple[str, ...]) -> float:
         """Aggregate speedup over the given phases, all workloads pooled.
 
         Args:
             phases: Phase names to pool.
-            tier: Which tier's ``fast_seconds`` to pool; the reference
-                side is tier-independent.
 
         Returns:
             Pooled reference seconds over pooled fast seconds.
         """
-        rows = [
-            r for r in self.records if r.phase in phases and r.tier == tier
-        ]
+        rows = [r for r in self.records if r.phase in phases]
         fast = sum(r.fast_seconds for r in rows)
         ref = sum(r.reference_seconds for r in rows)
         if fast <= 0.0:
             return float("inf")
         return ref / fast
 
-    def tier_speedup(self, phases: tuple[str, ...], tier: str) -> float:
-        """Additional pooled speedup of ``tier`` over the py tier.
-
-        Ratio of pooled py-tier ``fast_seconds`` to pooled ``tier``
-        ``fast_seconds`` over matching (workload, phase) rows — the
-        *extra* factor the tier buys on top of the Python engines.
-        """
-        base = {
-            (r.workload, r.phase): r.fast_seconds
-            for r in self.records
-            if r.phase in phases and r.tier == "py"
-        }
-        rows = [
-            r for r in self.records
-            if r.phase in phases and r.tier == tier
-            and (r.workload, r.phase) in base
-        ]
-        fast = sum(r.fast_seconds for r in rows)
-        py = sum(base[(r.workload, r.phase)] for r in rows)
-        if fast <= 0.0:
-            return float("inf")
-        return py / fast
-
     def _combined(self) -> dict:
-        """Per-tier combined-speedup block of the report."""
+        """Combined-speedup block of the report."""
         phases = tuple(sorted({r.phase for r in self.records}))
-        out: dict = {}
-        for tier in self.tiers():
-            entry = {
-                "profile+full_run": round(
-                    self.combined_speedup(("profile", "full_run"), tier), 3
-                ),
-                "all_phases": round(self.combined_speedup(phases, tier), 3),
-            }
-            if tier != "py":
-                entry["vs_py"] = round(
-                    self.tier_speedup(("profile", "full_run"), tier), 3
-                )
-            out[tier] = entry
-        return out
+        return {
+            "profile+full_run": round(
+                self.combined_speedup(("profile", "full_run")), 3
+            ),
+            "all_phases": round(self.combined_speedup(phases), 3),
+        }
 
     def to_dict(self) -> dict:
         """The JSON-ready report structure.
 
-        Records are sorted by (workload, phase, tier) so the file is
+        Records are sorted by (workload, phase) so the file is
         byte-stable across runs that measure the same grid, keeping
         diffs reviewable.
         """
-        ordered = sorted(
-            self.records, key=lambda r: (r.workload, r.phase, r.tier)
-        )
+        ordered = sorted(self.records, key=lambda r: (r.workload, r.phase))
         return {
             "scale": self.scale,
             "python": platform.python_version(),
@@ -196,8 +135,9 @@ class BenchmarkReport:
         Instead of wholesale-rewriting history, the previous file's
         ``trajectory`` list is carried over and the current run's
         summary appended (bounded by :data:`MAX_TRAJECTORY`), so the
-        committed file accumulates a per-tier speedup record across
-        PRs.  Returns the written structure.
+        committed file accumulates a speedup record across changes.
+        Older entries are kept exactly as they were written.  Returns
+        the written structure.
         """
         payload = self.to_dict()
         trajectory: list[dict] = []

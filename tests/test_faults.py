@@ -19,7 +19,13 @@ from repro.errors import (
     InjectedFaultError,
     RetryExhaustedError,
 )
-from repro.experiments.common import ExperimentRunner, RetryPolicy
+from repro.experiments.common import (
+    ExperimentRunner,
+    RetryPolicy,
+    RunReport,
+    TaskReport,
+)
+from repro.experiments.journal import RunJournal
 from repro.faults import (
     ENV_SEED,
     ENV_SPEC,
@@ -350,6 +356,48 @@ class TestFaultMatrix:
         cold = make_runner(tmp_path / "store", workers=0)
         assert run_states(cold) == baseline
         assert cold.store.misses >= 2
+
+
+class TestRunJournal:
+    def test_torn_and_foreign_lines_are_skipped(self, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl")
+        assert journal.completed_passes() == {}  # no file yet
+        journal.record_pass("k1", BENCH, 8, None, ("profiles", "full"))
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "start"}\n["not", "an", "object"]\n')
+            handle.write('{"event": "pass", "key": "k2", "ki')  # torn
+        assert journal.completed_passes() == {"k1": {"profiles", "full"}}
+
+    def test_clear_tolerates_a_missing_file(self, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl")
+        journal.record_pass("k1", BENCH, 8, None, ("full",))
+        journal.clear()
+        assert not journal.path.exists()
+        journal.clear()
+        assert journal.completed_passes() == {}
+
+
+class TestRunReport:
+    def test_render_lists_failed_passes(self):
+        report = RunReport(pool_failures=1, serial_fallback=True)
+        report.tasks.append(TaskReport(
+            "npb-is/8t", attempts=3, disposition="failed",
+            errors=["boom", "bang"],
+        ))
+        assert report.noteworthy()
+        lines = report.render().splitlines()
+        assert lines[0] == (
+            "run report: 0 resumed, 1 pool failure(s), degraded to serial"
+        )
+        assert lines[1] == (
+            "  npb-is/8t: failed after 3 attempt(s) (boom; bang)"
+        )
+
+    def test_clean_first_try_run_is_not_noteworthy(self):
+        report = RunReport()
+        report.tasks.append(TaskReport("npb-is/8t", attempts=1,
+                                       disposition="completed"))
+        assert not report.noteworthy()
 
 
 class TestStoreFaults:

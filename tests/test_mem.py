@@ -260,6 +260,15 @@ class TestMemoryHierarchy:
         with pytest.raises(SimulationError):
             h.access_block(0, lines, writes, mlp=0.5)
 
+    def test_invalid_mlp_complex_backend(self):
+        from repro.mem.backends import hierarchy_backend
+
+        h = hierarchy_backend("complex")(tiny_machine())
+        lines, writes = self._refs([1])
+        from repro.errors import SimulationError
+        with pytest.raises(SimulationError):
+            h.access_block(0, lines, writes, mlp=0.5)
+
     def test_l3_inclusion_purges_private_copies(self):
         machine = tiny_machine()  # L3 = 512 lines
         h = MemoryHierarchy(machine)

@@ -22,9 +22,9 @@ from repro._reference import (
     ReferenceSetAssocCache,
 )
 from repro.config import CacheConfig
-from repro.mem.backends import HIERARCHY_BACKENDS
 from repro.mem.cache import SetAssocCache
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.prefetch import NextLinePrefetchHierarchy
 from repro.profiling.ldv import (
     LruStackProfiler,
     bucket_of,
@@ -40,18 +40,8 @@ from repro.profiling.stackdist import (
 )
 from repro.sim.machine import Machine
 from repro.sim.warmup import MRUWarmup
-from repro.util import jit
 from repro.workloads import get_workload
 from tests.conftest import tiny_machine
-
-#: Kernel tiers under test: py == kernel-py always; == nb when numba is
-#: installed (the nb leg auto-skips otherwise).
-KERNEL_TIERS = [
-    pytest.param("kernel-py", id="kernel-py"),
-    pytest.param("nb", id="nb", marks=pytest.mark.skipif(
-        not jit.numba_available(), reason="numba not installed"
-    )),
-]
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -235,6 +225,20 @@ access_batches = st.lists(
 )
 
 
+def _fuzz_batches(seed: int, num_cores: int, rounds: int):
+    """Seeded (core, lines, writes, mlp) batches over a 2000-line footprint."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(rounds):
+        core = int(rng.integers(0, num_cores))
+        n = int(rng.integers(1, 250))
+        lines = rng.integers(0, 2000, size=n).astype(np.int64)
+        writes = rng.random(n) < 0.3
+        mlp = float(rng.choice([1.0, 2.0, 4.0]))
+        batches.append((core, lines, writes, mlp))
+    return batches
+
+
 class TestHierarchyParity:
     @settings(max_examples=40, deadline=None)
     @given(access_batches)
@@ -249,6 +253,69 @@ class TestHierarchyParity:
             stall_ref = ref.access_block(core, lines, writes, mlp)
             assert stall_fast == stall_ref
         self._assert_hierarchy_state_equal(fast, ref)
+
+    def test_extreme_addresses_and_directory_growth(self):
+        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
+        rng = np.random.default_rng(31)
+        fast = MemoryHierarchy(machine)
+        ref = ReferenceMemoryHierarchy(machine)
+        # Negative and huge line addresses, then a long distinct-line
+        # sweep that grows the directory far past the caches' capacity.
+        for base in (-(1 << 62), 1 << 61, 0):
+            for _ in range(10):
+                core = int(rng.integers(0, 8))
+                n = int(rng.integers(1, 150))
+                lines = (rng.integers(0, 1500, size=n) + base).astype(
+                    np.int64
+                )
+                writes = rng.random(n) < 0.4
+                assert fast.access_block(core, lines, writes, 1.0) == \
+                    ref.access_block(core, lines, writes, 1.0)
+        sweep = np.arange(30_000, dtype=np.int64)
+        flags = np.zeros(sweep.size, dtype=bool)
+        assert fast.access_block(0, sweep, flags, 1.0) == \
+            ref.access_block(0, sweep, flags, 1.0)
+        self._assert_hierarchy_state_equal(fast, ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [MemoryHierarchy, lambda m: NextLinePrefetchHierarchy(m, degree=0)],
+        ids=["inclusive", "prefetch-nl-off"],
+    )
+    def test_flush_and_replay_cycle(self, make):
+        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
+        fast = make(machine)
+        ref = ReferenceMemoryHierarchy(machine)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            for core, lines, writes, mlp in _fuzz_batches(29, 8, 12):
+                assert fast.access_block(core, lines, writes, mlp) == \
+                    ref.access_block(core, lines, writes, mlp)
+                replay = rng.integers(0, 2000, size=40).astype(np.int64)
+                rwrites = rng.random(40) < 0.3
+                fast.replay_block(core, replay, rwrites)
+                ref.replay_block(core, replay, rwrites)
+            self._assert_hierarchy_state_equal(fast, ref)
+            fast.flush_all()
+            ref.flush_all()
+            self._assert_hierarchy_state_equal(fast, ref)
+
+    def test_prefetch_nl_replay_matches_reference(self):
+        # Replay suppresses next-line prefetch, so warmup-only cycles on
+        # an enabled prefetch-nl hierarchy reconstruct exactly the state
+        # the non-prefetching reference does.
+        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
+        fast = NextLinePrefetchHierarchy(machine)
+        ref = ReferenceMemoryHierarchy(machine)
+        for _ in range(3):
+            for core, lines, writes, _mlp in _fuzz_batches(41, 8, 12):
+                fast.replay_block(core, lines, writes)
+                ref.replay_block(core, lines, writes)
+            assert fast.snapshot().prefetches == 0
+            self._assert_hierarchy_state_equal(fast, ref)
+            fast.flush_all()
+            ref.flush_all()
+            self._assert_hierarchy_state_equal(fast, ref)
 
     @staticmethod
     def _assert_hierarchy_state_equal(fast, ref):
@@ -376,217 +443,3 @@ class TestEndToEndParity:
         ).simulate_barrierpoint(parity_workload, mid, MRUWarmup(data_ref))
         assert fast.cycles == ref.cycles
         assert fast.per_thread_cycles == ref.per_thread_cycles
-
-
-# ---------------------------------------------------------------------------
-# Kernel tier: flat-array kernels (interpreted, and compiled when available)
-# ---------------------------------------------------------------------------
-
-
-def _fuzz_batches(seed: int, num_cores: int, rounds: int = 40):
-    """Seeded (core, lines, writes, mlp) batches shared by the tier tests."""
-    rng = np.random.default_rng(seed)
-    batches = []
-    for _ in range(rounds):
-        core = int(rng.integers(0, num_cores))
-        n = int(rng.integers(1, 250))
-        lines = rng.integers(0, 2000, size=n).astype(np.int64)
-        writes = rng.random(n) < 0.3
-        mlp = float(rng.choice([1.0, 2.0, 4.0]))
-        batches.append((core, lines, writes, mlp))
-    return batches
-
-
-def _hierarchy_state(hier):
-    """Snapshot counters, ordered cache contents, stats, directory maps."""
-    snap = hier.snapshot()
-    counters = {
-        attr: getattr(snap, attr)
-        for attr in (
-            "loads", "stores", "l1d_misses", "l2_misses", "l3_misses",
-            "cache_to_cache", "writebacks", "prefetches",
-            "intra_complex_transfers", "cross_complex_transfers",
-            "cross_socket_transfers",
-            "dram_reads_per_socket", "dram_writebacks_per_socket",
-        )
-    }
-    caches = []
-    for cache in (*hier.l1d, *hier.l2, *hier.l3):
-        cache.resident_lines()  # sync any kernel-held state
-        caches.append((
-            tuple(tuple(s.keys()) for s in cache._sets),  # LRU order
-            vars(cache.stats),
-        ))
-    directory = hier.directory
-    sharers = {k: v for k, v in directory._sharers.items() if v}
-    owners = {k: v for k, v in directory._owner.items() if v is not None}
-    return counters, caches, sharers, owners
-
-
-class TestKernelTierParity:
-    """The flat-array kernel tier is bit-identical to the dict engines.
-
-    Each test drives a py-tier instance and a kernel-tier instance with
-    the same streams and requires identical stalls, counters, LRU
-    orders, per-cache stats and directory state — including with
-    dict-level reads interleaved mid-run, which force the kernel arrays
-    to materialize back into the dict structures and re-seed.
-    """
-
-    @pytest.mark.parametrize("backend", sorted(HIERARCHY_BACKENDS))
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_all_backends_identical(self, tier, backend):
-        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
-        cls = HIERARCHY_BACKENDS[backend]
-        with jit.forced_tier("py"):
-            plain = cls(machine)
-        assert plain._kernel_fns is None
-        with jit.forced_tier(tier):
-            kernel = cls(machine)
-            assert kernel._kernel_fns is not None
-            for core, lines, writes, mlp in _fuzz_batches(13, 8):
-                assert plain.access_block(core, lines, writes, mlp) == \
-                    kernel.access_block(core, lines, writes, mlp)
-            assert _hierarchy_state(plain) == _hierarchy_state(kernel)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_interleaved_dict_reads_materialize(self, tier):
-        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
-        with jit.forced_tier("py"):
-            plain = MemoryHierarchy(machine)
-        with jit.forced_tier(tier):
-            kernel = MemoryHierarchy(machine)
-            for step, (core, lines, writes, mlp) in enumerate(
-                _fuzz_batches(17, 8)
-            ):
-                assert plain.access_block(core, lines, writes, mlp) == \
-                    kernel.access_block(core, lines, writes, mlp)
-                if step % 5 == 2:
-                    # Dict-level reads force materialization mid-run.
-                    line = int(lines[0])
-                    assert kernel.l1d[core].contains(line) == \
-                        plain.l1d[core].contains(line)
-                    assert kernel.l2[core].resident_lines() == \
-                        plain.l2[core].resident_lines()
-                    assert kernel.directory.sharers(line) == \
-                        plain.directory.sharers(line)
-            assert _hierarchy_state(plain) == _hierarchy_state(kernel)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_matches_seed_reference(self, tier):
-        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
-        ref = ReferenceMemoryHierarchy(machine)
-        with jit.forced_tier(tier):
-            kernel = MemoryHierarchy(machine)
-            for core, lines, writes, mlp in _fuzz_batches(19, 8):
-                assert kernel.access_block(core, lines, writes, mlp) == \
-                    ref.access_block(core, lines, writes, mlp)
-            TestHierarchyParity._assert_hierarchy_state_equal(kernel, ref)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_flush_and_replay_cycle(self, tier):
-        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
-        cls = HIERARCHY_BACKENDS["prefetch-nl"]
-        with jit.forced_tier("py"):
-            plain = cls(machine)
-        rng = np.random.default_rng(23)
-        with jit.forced_tier(tier):
-            kernel = cls(machine)
-            for _ in range(3):
-                for core, lines, writes, mlp in _fuzz_batches(29, 8, 12):
-                    assert plain.access_block(core, lines, writes, mlp) == \
-                        kernel.access_block(core, lines, writes, mlp)
-                    replay = rng.integers(0, 2000, size=40).astype(np.int64)
-                    rwrites = rng.random(40) < 0.3
-                    plain.replay_block(core, replay, rwrites)
-                    kernel.replay_block(core, replay, rwrites)
-                assert _hierarchy_state(plain) == _hierarchy_state(kernel)
-                plain.flush_all()
-                kernel.flush_all()
-                assert _hierarchy_state(plain) == _hierarchy_state(kernel)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_extreme_addresses_and_directory_growth(self, tier):
-        machine = tiny_machine(num_sockets=2, cores_per_socket=4)
-        rng = np.random.default_rng(31)
-        with jit.forced_tier("py"):
-            plain = MemoryHierarchy(machine)
-        with jit.forced_tier(tier):
-            kernel = MemoryHierarchy(machine)
-            # Negative and huge addresses exercise the int64 hash wrap;
-            # a long distinct-line sweep forces directory rehash growth.
-            for base in (-(1 << 62), 1 << 61, 0):
-                for _ in range(10):
-                    core = int(rng.integers(0, 8))
-                    n = int(rng.integers(1, 150))
-                    lines = (rng.integers(0, 1500, size=n) + base).astype(
-                        np.int64
-                    )
-                    writes = rng.random(n) < 0.4
-                    assert plain.access_block(core, lines, writes, 1.0) == \
-                        kernel.access_block(core, lines, writes, 1.0)
-            sweep = np.arange(30_000, dtype=np.int64)
-            flags = np.zeros(sweep.size, dtype=bool)
-            assert plain.access_block(0, sweep, flags, 1.0) == \
-                kernel.access_block(0, sweep, flags, 1.0)
-            assert _hierarchy_state(plain) == _hierarchy_state(kernel)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_mru_tracker_identical(self, tier):
-        rng = np.random.default_rng(37)
-        streams = []
-        for _ in range(30):
-            n = int(rng.integers(1, 500))
-            streams.append((
-                int(rng.integers(0, 2)),
-                rng.integers(0, 700, size=n) * 64,
-                rng.random(n) < 0.25,
-            ))
-        with jit.forced_tier("py"):
-            plain = MRUTracker(num_cores=2, capacity_lines=128)
-        with jit.forced_tier(tier):
-            kernel = MRUTracker(num_cores=2, capacity_lines=128)
-            assert kernel._kstates is not None
-            for core, lines, writes in streams:
-                plain.observe(core, lines, writes)
-                kernel.observe(core, lines, writes)
-            assert kernel.snapshot(0).per_core == plain.snapshot(0).per_core
-            for core in range(2):
-                assert kernel.occupancy(core) == plain.occupancy(core)
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_profiles_and_warmup_identical(self, tier):
-        workload = get_workload("fuzz-4", 4, scale=0.1)
-        with jit.forced_tier("py"):
-            plain_prof = FunctionalProfiler(workload).profile()
-        with jit.forced_tier(tier):
-            kernel_prof = FunctionalProfiler(workload).profile()
-        assert len(plain_prof) == len(kernel_prof)
-        for a, b in zip(kernel_prof, plain_prof):
-            assert np.array_equal(a.bbv, b.bbv)
-            assert np.array_equal(a.ldv, b.ldv)
-        mid = workload.num_regions // 2
-        with jit.forced_tier("py"):
-            plain_data = FunctionalProfiler(workload).capture_warmup(
-                {mid}, 256
-            )[mid]
-        with jit.forced_tier(tier):
-            kernel_data = FunctionalProfiler(workload).capture_warmup(
-                {mid}, 256
-            )[mid]
-        assert kernel_data.per_core == plain_data.per_core
-
-    @pytest.mark.parametrize("tier", KERNEL_TIERS)
-    def test_full_run_identical(self, tier):
-        workload = get_workload("npb-is", 4, scale=0.1)
-        machine = tiny_machine()
-        with jit.forced_tier("py"):
-            plain = Machine(machine).run_full(workload)
-        with jit.forced_tier(tier):
-            kernel = Machine(machine).run_full(workload)
-        for kr, pr in zip(kernel.regions, plain.regions):
-            assert kr.cycles == pr.cycles
-            assert kr.per_thread_cycles == pr.per_thread_cycles
-            assert kr.counters.loads == pr.counters.loads
-            assert kr.counters.l3_misses == pr.counters.l3_misses
-            assert kr.counters.writebacks == pr.counters.writebacks

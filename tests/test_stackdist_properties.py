@@ -3,15 +3,12 @@
 Several implementations of exact LRU stack distances coexist in the
 repo: the vectorized :class:`~repro.profiling.stackdist.StackDistanceEngine`
 (the hot path), the streaming dict+Fenwick
-:class:`~repro.profiling.stackdist.OlkenStackProfiler`, the seed
-:class:`repro._reference.ReferenceLruStackProfiler` cascade, and the
-flat-array kernel of :mod:`repro.profiling.kernels` in both its
-interpreted (``kernel-py``) and, when numba is installed, compiled
-(``nb``) tiers.  These tests assert all of them produce identical
-distances and LDV histograms on seeded random streams and on every
-adversarial degenerate shape (empty, single line, all-unique,
-all-repeat, sawtooth, reverse reuse), at several chunking granularities
-— the property the replayed-trace profiles rest on.
+:class:`~repro.profiling.stackdist.OlkenStackProfiler`, and the seed
+:class:`repro._reference.ReferenceLruStackProfiler` cascade.  These tests
+assert all of them produce identical distances and LDV histograms on
+seeded random streams and on every adversarial degenerate shape (empty,
+single line, all-unique, all-repeat, sawtooth, reverse reuse), at several
+chunking granularities — the property the replayed-trace profiles rest on.
 """
 
 from __future__ import annotations
@@ -25,14 +22,9 @@ from repro.profiling.ldv import (
     bucketize,
     naive_stack_distances,
 )
-from repro.profiling.ldv import NUM_LDV_BUCKETS
-from repro.profiling.kernels import KernelDistanceEngine
+from repro.profiling.ldv import COLD_BUCKET, NUM_LDV_BUCKETS
 from repro.profiling.stackdist import OlkenStackProfiler, StackDistanceEngine
 from repro.trace.rng import stream_rng
-from repro.util import jit
-
-#: Kernel tiers to battery-test; nb auto-skips when numba is absent.
-KERNEL_TIERS = ["kernel-py"] + (["nb"] if jit.numba_available() else [])
 
 
 def _histogram(distances: np.ndarray) -> np.ndarray:
@@ -56,35 +48,20 @@ def assert_three_way_identical(stream: np.ndarray, chunk: int) -> None:
     olken = OlkenStackProfiler()
     fast_profiler = LruStackProfiler()
     ref_profiler = ReferenceLruStackProfiler()
-    kernel_engines = {}
-    for tier in KERNEL_TIERS:
-        with jit.forced_tier(tier):  # bundle is bound at construction
-            kernel_engines[tier] = KernelDistanceEngine()
 
     engine_dists = []
     olken_dists = []
-    kernel_dists = {tier: [] for tier in KERNEL_TIERS}
     for piece in _chunked(stream, chunk):
         engine_dists.append(engine.observe(piece).distances)
         olken_dists.append(olken.observe(piece))
         fast_profiler.observe(piece)
         ref_profiler.observe(piece)
-        for tier, kengine in kernel_engines.items():
-            with jit.forced_tier(tier):
-                kernel_dists[tier].append(kengine.observe(piece).distances)
     engine_all = np.concatenate(engine_dists) if engine_dists else stream
     olken_all = np.concatenate(olken_dists) if olken_dists else stream
 
     expected = np.asarray(naive_stack_distances(stream), dtype=np.int64)
     assert engine_all.tolist() == expected.tolist()
     assert olken_all.tolist() == expected.tolist()
-    for tier in KERNEL_TIERS:
-        kernel_all = (
-            np.concatenate(kernel_dists[tier]) if kernel_dists[tier]
-            else stream
-        )
-        assert kernel_all.tolist() == expected.tolist(), tier
-        assert kernel_engines[tier].unique_lines == engine.unique_lines, tier
 
     expected_hist = _histogram(expected)
     assert np.array_equal(fast_profiler.take_histogram(), expected_hist)
@@ -173,3 +150,21 @@ class TestAdversarialShapes:
         assert engine.unique_lines == 0
         # After reset, every line is cold again.
         assert engine.observe(stream).distances.tolist() == [-1] * 50
+
+    def test_profiler_reset_forgets_history(self):
+        stream = np.arange(50, dtype=np.int64)
+        for profiler in (LruStackProfiler(), ReferenceLruStackProfiler()):
+            profiler.observe(stream)
+            profiler.observe(stream)
+            profiler.reset()
+            assert profiler.unique_lines == 0
+            profiler.observe(stream)
+            expected = np.zeros(NUM_LDV_BUCKETS)
+            expected[COLD_BUCKET] = 50  # every line is new again
+            assert np.array_equal(profiler.take_histogram(), expected)
+
+    def test_prune_within_capacity_is_a_noop(self):
+        engine = StackDistanceEngine()
+        engine.observe(np.arange(50, dtype=np.int64))
+        assert engine.prune_to(50) is None
+        assert engine.unique_lines == 50

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.pipeline import BarrierPointPipeline
 from repro.experiments import common
-from repro.experiments.common import ExperimentRunner, _pair_key
+from repro.experiments.common import ExperimentRunner, pair_key
 from repro.store import ArtifactStore, config_fingerprint, code_fingerprint
 from repro.store import fingerprint as fingerprint_mod
 
@@ -168,7 +168,7 @@ class TestRunnerIntegration:
     def test_corrupt_artifact_recomputes(self, tmp_path):
         writer = make_runner(tmp_path)
         baseline = writer.full(BENCH, 8)
-        key = _pair_key(SCALE, BENCH, 8)
+        key = pair_key(SCALE, BENCH, 8)
         path = writer.store.path_for("full", key)
         path.write_bytes(path.read_bytes()[:40])
 

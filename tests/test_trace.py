@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.trace import generators as gen
-from repro.trace.program import BasicBlock, BlockExec, RegionTrace, ThreadTrace
+from repro.trace.program import (
+    BasicBlock,
+    BlockExec,
+    RegionTrace,
+    ThreadTrace,
+    concat_refs,
+)
 from repro.trace.rng import stream_rng, stream_seed
 
 
@@ -105,6 +111,24 @@ class TestRegionTrace:
     def test_empty_threads_rejected(self):
         with pytest.raises(WorkloadError):
             RegionTrace(region_index=0, phase="p", threads=())
+
+
+class TestConcatRefs:
+    def test_empty_is_a_fresh_empty_stream(self):
+        lines, writes = concat_refs([])
+        assert lines.dtype == np.int64 and lines.size == 0
+        assert writes.dtype == bool and writes.size == 0
+        # Each call returns its own arrays, never a shared constant.
+        assert concat_refs([])[0] is not lines
+
+    def test_chunks_concatenate_in_order(self):
+        chunks = [
+            (np.array([1, 2], dtype=np.int64), np.array([True, False])),
+            (np.array([3], dtype=np.int64), np.array([True])),
+        ]
+        lines, writes = concat_refs(chunks)
+        assert lines.tolist() == [1, 2, 3]
+        assert writes.tolist() == [True, False, True]
 
 
 class TestGenerators:

@@ -24,33 +24,6 @@ class TestTimeCall:
         assert len(calls) == 3
         assert result.value == 3  # last call's value
 
-    def test_warmup_calls_run_before_timing(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            return len(calls)
-
-        result = time_call(fn, repeat=2, warmup=3)
-        assert len(calls) == 5
-        assert result.value == 5  # last *timed* call's value
-
-    def test_warmup_excluded_from_timed_region(self):
-        # A one-time cost (JIT compilation stand-in) on the first call
-        # must not leak into fast_seconds when warmup >= 1.
-        import time as _time
-
-        state = {"first": True}
-
-        def fn():
-            if state["first"]:
-                state["first"] = False
-                _time.sleep(0.05)
-
-        result = time_call(fn, repeat=1, warmup=1)
-        assert result.seconds < 0.05
-
-
 class TestPhaseTiming:
     def test_speedup(self):
         record = PhaseTiming("w", "p", fast_seconds=0.5, reference_seconds=2.0)
@@ -59,10 +32,6 @@ class TestPhaseTiming:
     def test_zero_fast_time_is_inf(self):
         record = PhaseTiming("w", "p", fast_seconds=0.0, reference_seconds=1.0)
         assert record.speedup == float("inf")
-
-    def test_default_tier_is_py(self):
-        record = PhaseTiming("w", "p", 1.0, 1.0)
-        assert record.tier == "py"
 
 
 class TestBenchmarkReport:
@@ -93,22 +62,19 @@ class TestBenchmarkReport:
         assert on_disk == payload
         assert on_disk["scale"] == 0.5
         assert len(on_disk["records"]) == 4
-        assert on_disk["combined"]["py"]["profile+full_run"] == \
-            pytest.approx(2.5)
+        assert on_disk["combined"]["profile+full_run"] == pytest.approx(2.5)
         for record in on_disk["records"]:
-            assert {"workload", "phase", "tier", "fast_seconds",
-                    "reference_seconds", "speedup"} <= set(record)
+            assert set(record) == {"workload", "phase", "fast_seconds",
+                                   "reference_seconds", "speedup"}
 
     def test_records_deterministically_ordered(self, tmp_path):
         # Same measurements, different insertion orders -> identical files.
         a = BenchmarkReport(scale=0.5)
         a.add("w2", "profile", 1.0, 2.0)
         a.add("w1", "full_run", 1.0, 2.0)
-        a.add("w1", "full_run", 0.5, 2.0, tier="nb")
         a.add("w1", "profile", 1.0, 2.0)
         b = BenchmarkReport(scale=0.5)
         b.add("w1", "profile", 1.0, 2.0)
-        b.add("w1", "full_run", 0.5, 2.0, tier="nb")
         b.add("w1", "full_run", 1.0, 2.0)
         b.add("w2", "profile", 1.0, 2.0)
         a.write(tmp_path / "a.json")
@@ -116,25 +82,10 @@ class TestBenchmarkReport:
         assert (tmp_path / "a.json").read_text() == \
             (tmp_path / "b.json").read_text()
         keys = [
-            (r["workload"], r["phase"], r["tier"])
+            (r["workload"], r["phase"])
             for r in json.loads((tmp_path / "a.json").read_text())["records"]
         ]
         assert keys == sorted(keys)
-
-    def test_per_tier_combined_and_vs_py(self):
-        report = self._report()
-        report.add("a", "profile", 0.25, 4.0, tier="nb")
-        report.add("a", "full_run", 0.5, 4.0, tier="nb")
-        assert report.tiers() == ("nb", "py")
-        payload = report.to_dict()
-        assert payload["combined"]["py"]["profile+full_run"] == \
-            pytest.approx(2.5)
-        # nb pooled: refs (4+4) / nb (0.25+0.5), rounded to 3 places
-        assert payload["combined"]["nb"]["profile+full_run"] == \
-            pytest.approx(8 / 0.75, abs=5e-4)
-        # additional over py on matching rows: (1+2) / (0.25+0.5)
-        assert payload["combined"]["nb"]["vs_py"] == pytest.approx(4.0)
-        assert "vs_py" not in payload["combined"]["py"]
 
     def test_write_appends_trajectory(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
@@ -145,6 +96,14 @@ class TestBenchmarkReport:
         on_disk = json.loads(path.read_text())
         assert on_disk["trajectory"][0]["combined"] == \
             first["trajectory"][0]["combined"]
+
+    def test_write_keeps_older_entries_as_written(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        older = {"scale": 0.5, "combined": {"py": {"all_phases": 3.0}}}
+        path.write_text(json.dumps({"trajectory": [older]}))
+        payload = self._report().write(path)
+        assert payload["trajectory"][0] == older
+        assert payload["trajectory"][1]["combined"] == payload["combined"]
 
     def test_write_survives_corrupt_previous_file(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
