@@ -46,21 +46,22 @@ class ClusteringResult:
         return np.flatnonzero(self.labels == cluster)
 
 
-class SimPointClusterer:
-    """Clusters region signatures per the Table II configuration."""
+class KSweep:
+    """The ``k = 1 .. maxK`` model sweep of one signature matrix.
 
-    def __init__(self, config: SimPointConfig) -> None:
-        self.config = config
+    The fit at ``k`` (seed ``config.seed + k``) depends only on the
+    projected matrix, the weights, ``k`` and the k-means settings, never
+    on ``maxK``, so the sweep for a smaller ``maxK`` is a prefix of the
+    sweep for a larger one.  :meth:`result` fits, on demand, only the
+    ``k`` not fitted yet and keeps each fit's labels, centers and BIC, so
+    selections at several ``maxK`` (Fig. 5) share one sweep.  ``config.max_k`` is not
+    read: the caller passes ``max_k`` to :meth:`result`.
+    """
 
-    def fit(self, signatures: np.ndarray, weights: np.ndarray) -> ClusteringResult:
-        """Cluster one signature per region, weighted by instructions.
-
-        Sweeps ``k = 1 .. min(maxK, n)``, scores each with weighted BIC and
-        selects the smallest ``k`` whose normalized score reaches the
-        configured threshold (SimPoint's rule).  The representative of each
-        cluster is the member closest to the cluster centroid, ties broken
-        toward the longer region.
-        """
+    def __init__(
+        self, config: SimPointConfig, signatures: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
         sig = np.asarray(signatures, dtype=np.float64)
         wts = np.asarray(weights, dtype=np.float64)
         if sig.ndim != 2 or sig.shape[0] == 0:
@@ -68,27 +69,51 @@ class SimPointClusterer:
         n = sig.shape[0]
         if wts.shape != (n,):
             raise ClusteringError(f"weights shape {wts.shape} != ({n},)")
+        self.config = config
+        self.projected = random_projection(
+            sig, config.projected_dims, config.seed
+        )
+        self.weights = wts
+        #: ``(labels, centers, bic)`` of the fit at ``k``, at index ``k-1``.
+        self._fits: list[tuple[np.ndarray, np.ndarray, float]] = []
 
+    def result(self, max_k: int) -> ClusteringResult:
+        """Cluster with ``maxK = max_k``, fitting only the missing ``k``.
+
+        Sweeps ``k = 1 .. min(max_k, n)``, scores each with weighted BIC
+        and selects the smallest ``k`` whose normalized score reaches the
+        configured threshold (SimPoint's rule).  The representative of
+        each cluster is the member closest to the cluster centroid, ties
+        broken toward the longer region.
+        """
+        if max_k <= 0:
+            raise ClusteringError(f"max_k must be positive, got {max_k}")
         cfg = self.config
-        projected = random_projection(sig, cfg.projected_dims, cfg.seed)
-
-        max_k = min(cfg.max_k, n)
-        fits = {}
-        bic_by_k: dict[int, float] = {}
-        for k in range(1, max_k + 1):
+        top = min(max_k, self.projected.shape[0])
+        for k in range(len(self._fits) + 1, top + 1):
+            # Looked up as module globals at call time, so a tracer or a
+            # test can substitute either function.
             fit = weighted_kmeans(
-                projected, wts, k,
+                self.projected, self.weights, k,
                 seed=cfg.seed + k,
                 max_iterations=cfg.kmeans_iterations,
                 restarts=cfg.kmeans_restarts,
             )
-            fits[k] = fit
-            bic_by_k[k] = weighted_bic(projected, wts, fit.labels, fit.centers)
+            bic = weighted_bic(
+                self.projected, self.weights, fit.labels, fit.centers
+            )
+            # A runner keeps its sweeps as long as its selections, so the
+            # labels (all < k) are held in the narrowest integer type.
+            labels = fit.labels.astype(np.min_scalar_type(k - 1))
+            self._fits.append((labels, fit.centers, bic))
 
+        bic_by_k = {k: fit[2] for k, fit in enumerate(self._fits[:top], 1)}
         chosen_k = self._select_k(bic_by_k)
-        best = fits[chosen_k]
-        labels, centers = self._compact(best.labels, best.centers)
-        reps = self._representatives(projected, wts, labels, centers)
+        labels, centers, _ = self._fits[chosen_k - 1]
+        labels, centers = self._compact(labels.astype(np.int64), centers)
+        reps = self._representatives(
+            self.projected, self.weights, labels, centers
+        )
         # ``chosen_k`` stays the *selected* (pre-compaction) k so it keys
         # ``bic_by_k``; the compacted cluster count is ``num_clusters``.
         return ClusteringResult(
@@ -96,8 +121,8 @@ class SimPointClusterer:
             representatives=reps,
             chosen_k=chosen_k,
             bic_by_k=bic_by_k,
-            projected=projected,
-            weights=wts,
+            projected=self.projected,
+            weights=self.weights,
         )
 
     @staticmethod
@@ -109,9 +134,7 @@ class SimPointClusterer:
         used = np.unique(labels)
         if used.size == centers.shape[0]:
             return labels, centers
-        remap = {int(old): new for new, old in enumerate(used)}
-        new_labels = np.array([remap[int(l)] for l in labels], dtype=np.int64)
-        return new_labels, centers[used]
+        return np.searchsorted(used, labels), centers[used]
 
     def _select_k(self, bic_by_k: dict[int, float]) -> int:
         """Smallest k whose normalized BIC clears the threshold."""
@@ -149,3 +172,20 @@ class SimPointClusterer:
                 near = near[np.argsort(-weights[near], kind="stable")]
             reps.append(int(near[0]))
         return tuple(reps)
+
+
+class SimPointClusterer:
+    """Clusters region signatures per the Table II configuration."""
+
+    def __init__(self, config: SimPointConfig) -> None:
+        self.config = config
+
+    def fit(self, signatures: np.ndarray, weights: np.ndarray) -> ClusteringResult:
+        """Cluster one signature per region, weighted by instructions.
+
+        One :class:`KSweep` taken at ``config.max_k``; see
+        :meth:`KSweep.result` for the selection rule.
+        """
+        return KSweep(self.config, signatures, weights).result(
+            self.config.max_k
+        )

@@ -31,7 +31,7 @@ from repro.core.selection import (
     select_barrierpoints,
 )
 from repro.core.signatures import SignatureConfig, build_signature_matrix
-from repro.clustering.simpoint import SimPointClusterer
+from repro.clustering.simpoint import KSweep
 from repro.errors import ConfigError
 from repro.profiling.profiler import FunctionalProfiler, RegionProfile
 from repro.sim.machine import FullRunResult, Machine
@@ -84,17 +84,36 @@ class BarrierPointPipeline:
 
     # -- stage 2: selection -------------------------------------------------
 
-    def select(
+    def sweep(
         self, workload: Workload, profiles: list[RegionProfile] | None = None
-    ) -> BarrierPointSelection:
-        """Cluster region signatures and pick barrierpoints."""
+    ) -> KSweep:
+        """The k-means/BIC sweep over this pipeline's region signatures.
+
+        Pass it to :meth:`select` of pipelines that differ only in
+        ``maxK`` to fit each ``k`` once across them.
+        """
         if profiles is None:
             profiles = self.profile(workload)
         matrix, weights = build_signature_matrix(profiles, self.signature)
-        clustering = SimPointClusterer(self.simpoint).fit(matrix, weights)
+        return KSweep(self.simpoint, matrix, weights)
+
+    def select(
+        self,
+        workload: Workload,
+        profiles: list[RegionProfile] | None = None,
+        sweep: KSweep | None = None,
+    ) -> BarrierPointSelection:
+        """Cluster region signatures and pick barrierpoints.
+
+        ``sweep`` reuses the fits of an earlier :meth:`sweep` of the same
+        workload and signature variant; without it, one is built from
+        ``profiles``.
+        """
+        if sweep is None:
+            sweep = self.sweep(workload, profiles)
         return select_barrierpoints(
-            clustering,
-            weights,
+            sweep.result(self.simpoint.max_k),
+            sweep.weights,
             workload_name=workload.name,
             num_threads=workload.num_threads,
             signature_label=self.signature.label,

@@ -18,19 +18,24 @@ from repro.util.tables import format_table
 
 
 def compute_thread_combining(runner: ExperimentRunner) -> list[dict]:
-    """Concat-vs-sum error per benchmark (averaged over core counts)."""
+    """Concat-vs-sum error per benchmark (averaged over core counts).
+
+    Concatenation is the default ``combine`` signature, so its selections
+    are the runner's shared ones; summation is clustered here.
+    """
+    summed = SignatureConfig(kind="combined", thread_mode="sum")
     rows = []
     for name in runner.benchmarks:
         errors = {"concat": [], "sum": []}
-        for mode in ("concat", "sum"):
-            signature = SignatureConfig(kind="combined", thread_mode=mode)
-            for nt in CORE_COUNTS:
-                pipe = runner.pipeline(nt, signature)
-                sel = pipe.select(
-                    runner.workload(name, nt), runner.profiles(name, nt)
-                )
-                result = pipe.evaluate_perfect(sel, runner.full(name, nt))
-                errors[mode].append(result.runtime_error_pct)
+        for nt in CORE_COUNTS:
+            concat = runner.evaluate_perfect(name, nt)
+            errors["concat"].append(concat.runtime_error_pct)
+            pipe = runner.pipeline(nt, summed)
+            sel = pipe.select(
+                runner.workload(name, nt), runner.profiles(name, nt)
+            )
+            result = pipe.evaluate_perfect(sel, runner.full(name, nt))
+            errors["sum"].append(result.runtime_error_pct)
         rows.append(
             {
                 "benchmark": name,

@@ -34,7 +34,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.config import (
     MachineConfig,
@@ -668,6 +668,7 @@ class ExperimentRunner:
     _profiles: dict = field(default_factory=dict, repr=False)
     _fulls: dict = field(default_factory=dict, repr=False)
     _selections: dict = field(default_factory=dict, repr=False)
+    _sweeps: dict = field(default_factory=dict, repr=False)
     _warmups: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -961,19 +962,27 @@ class ExperimentRunner:
         max_k: int | None = None,
         machine: str | None = None,
     ) -> BarrierPointSelection:
-        """Barrierpoint selection for a signature variant (cached)."""
+        """Barrierpoint selection for a signature variant (cached).
+
+        ``max_k=None`` means the runner's ``simpoint.max_k``.  Every
+        ``max_k`` of one ``(name, num_threads, variant, machine)`` shares
+        one k sweep, so each k is fitted once.
+        """
+        if max_k is None:
+            max_k = self.simpoint.max_k
         key = (name, num_threads, variant, max_k, machine)
         if key not in self._selections:
             signature = SIGNATURE_VARIANTS[variant]
-            simpoint = self.simpoint
-            if max_k is not None:
-                from dataclasses import replace
-
-                simpoint = replace(simpoint, max_k=max_k)
+            simpoint = replace(self.simpoint, max_k=max_k)
             pipe = self.pipeline(num_threads, signature, simpoint, machine)
+            workload = self.workload(name, num_threads)
+            sweep_key = (name, num_threads, variant, machine)
+            if sweep_key not in self._sweeps:
+                self._sweeps[sweep_key] = pipe.sweep(
+                    workload, self.profiles(name, num_threads, machine)
+                )
             self._selections[key] = pipe.select(
-                self.workload(name, num_threads),
-                self.profiles(name, num_threads, machine),
+                workload, sweep=self._sweeps[sweep_key]
             )
         return self._selections[key]
 

@@ -1,5 +1,7 @@
 """Tests for the SimPoint-equivalent clustering stack."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from repro.clustering.bic import weighted_bic
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.normalize import normalize_l1, normalize_rows
 from repro.clustering.projection import random_projection
-from repro.clustering.simpoint import SimPointClusterer
+from repro.clustering.simpoint import KSweep, SimPointClusterer
 from repro.config import SimPointConfig
 from repro.errors import ClusteringError
 
@@ -298,3 +300,88 @@ class TestSimPointClusterer:
         for cluster in range(result.num_clusters):
             seen.extend(result.members_of(cluster).tolist())
         assert sorted(seen) == list(range(10))
+
+
+class TestSharedSweep:
+    """Selections at several maxK share one k sweep with identical results."""
+
+    CFG = SimPointConfig(kmeans_restarts=2)
+
+    @staticmethod
+    def _phases(n=24, num_phases=8, seed=9):
+        rng = np.random.default_rng(seed)
+        phases = rng.random((num_phases, 30))
+        signatures = phases[np.arange(n) % num_phases] + rng.normal(
+            0, 0.05, (n, 30)
+        )
+        return np.abs(signatures), rng.integers(1, 10**6, n).astype(float)
+
+    @staticmethod
+    def _tiny_runner():
+        from repro.experiments.common import ExperimentRunner
+
+        return ExperimentRunner(
+            scale=0.05, benchmarks=("npb-is",), store=None, workers=1,
+            simpoint=SimPointConfig(kmeans_restarts=1),
+        )
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The ``k`` of every ``weighted_kmeans`` call, in call order."""
+        from repro.clustering import simpoint as sp
+
+        calls = []
+        real = sp.weighted_kmeans
+
+        def counting(points, weights, k, **kwargs):
+            calls.append(k)
+            return real(points, weights, k, **kwargs)
+
+        monkeypatch.setattr(sp, "weighted_kmeans", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", [(1, 5, 10, 20, 30), (30, 20, 10, 5, 1)])
+    def test_prefix_matches_fresh_fit(self, order):
+        signatures, weights = self._phases()
+        sweep = KSweep(self.CFG, signatures, weights)
+        for max_k in order:
+            shared = sweep.result(max_k)
+            fresh = SimPointClusterer(replace(self.CFG, max_k=max_k)).fit(
+                signatures, weights
+            )
+            assert shared.labels.dtype == fresh.labels.dtype
+            assert np.array_equal(shared.labels, fresh.labels)
+            assert shared.representatives == fresh.representatives
+            assert shared.chosen_k == fresh.chosen_k
+            assert shared.bic_by_k == fresh.bic_by_k
+            assert list(shared.bic_by_k) == list(range(1, min(max_k, 24) + 1))
+
+    def test_each_k_fitted_once(self, fitted):
+        signatures, weights = self._phases()
+        sweep = KSweep(self.CFG, signatures, weights)
+        for max_k in (5, 1, 20, 10, 30):
+            sweep.result(max_k)
+        assert fitted == list(range(1, 25))
+
+    def test_bad_max_k(self):
+        signatures, weights = self._phases()
+        with pytest.raises(ClusteringError):
+            KSweep(self.CFG, signatures, weights).result(0)
+
+    def test_fig5_fits_each_variant_cores_k_once(self, fitted):
+        from repro.experiments import fig5_maxk_methods
+        from repro.experiments.common import CORE_COUNTS
+
+        runner = self._tiny_runner()
+        fig5_maxk_methods.compute(runner)
+        n = len(runner.profiles("npb-is", CORE_COUNTS[0]))
+        top = min(max(fig5_maxk_methods.MAX_K_SWEEP), n)
+        sweeps = len(fig5_maxk_methods.VARIANTS) * len(CORE_COUNTS)
+        assert len(fitted) == sweeps * top
+        assert all(fitted.count(k) == sweeps for k in range(1, top + 1))
+
+    def test_default_max_k_shares_the_selection(self):
+        runner = self._tiny_runner()
+        default = runner.selection("npb-is", 8)
+        assert runner.selection("npb-is", 8, max_k=20) is default
+        assert runner.selection("npb-is", 8, max_k=5) is not default

@@ -20,8 +20,12 @@ from repro._reference import (
     ReferenceMemoryHierarchy,
     ReferenceMRUTracker,
     ReferenceSetAssocCache,
+    reference_weighted_kmeans,
 )
-from repro.config import CacheConfig
+from repro.clustering.kmeans import weighted_kmeans
+from repro.clustering.projection import random_projection
+from repro.config import CacheConfig, simpoint_defaults
+from repro.core.signatures import SignatureConfig, build_signature_matrix
 from repro.mem.cache import SetAssocCache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.prefetch import NextLinePrefetchHierarchy
@@ -41,7 +45,7 @@ from repro.profiling.stackdist import (
 from repro.sim.machine import Machine
 from repro.sim.warmup import MRUWarmup
 from repro.workloads import get_workload
-from tests.conftest import tiny_machine
+from tests.conftest import assert_bit_identical, tiny_machine
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -335,6 +339,78 @@ class TestHierarchyParity:
         assert fast.directory._sharers == ref.directory._sharers
         assert fast.directory._owner == ref.directory._owner
         assert vars(fast.directory.stats) == vars(ref.directory.stats)
+
+
+# ---------------------------------------------------------------------------
+# Weighted k-means: vectorized engine vs seed per-cluster loops
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points drawn from few distinct rows, so clusters empty out and some
+    inputs have fewer distinct points than clusters."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 15))
+    distinct = draw(st.integers(1, n))
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=distinct, max_size=distinct))
+    picks = draw(st.lists(st.integers(0, distinct - 1),
+                          min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(1.0, 1e9), min_size=n, max_size=n))
+    return (
+        np.array(rows, dtype=np.float64)[picks],
+        np.array(weights),
+        draw(st.integers(1, n)),
+        dict(
+            seed=draw(st.integers(0, 2**32 - 1)),
+            max_iterations=draw(st.integers(0, 40)),
+            restarts=draw(st.integers(1, 3)),
+        ),
+    )
+
+
+def _kmeans_state(result):
+    return (result.labels, result.centers, result.distortion,
+            result.iterations)
+
+
+@pytest.fixture(scope="module", params=["npb-ft", "npb-lu"])
+def projected_signatures(request):
+    """A real projected signature matrix and its weights."""
+    workload = get_workload(request.param, 8, scale=0.05)
+    profiles = FunctionalProfiler(workload).profile()
+    matrix, weights = build_signature_matrix(profiles, SignatureConfig())
+    cfg = simpoint_defaults()
+    return random_projection(matrix, cfg.projected_dims, cfg.seed), weights
+
+
+class TestKMeansParity:
+    @settings(max_examples=150, deadline=None)
+    @given(kmeans_inputs())
+    def test_randomized_inputs(self, case):
+        points, weights, k, options = case
+        assert_bit_identical(
+            _kmeans_state(weighted_kmeans(points, weights, k, **options)),
+            _kmeans_state(
+                reference_weighted_kmeans(points, weights, k, **options)
+            ),
+        )
+
+    def test_real_signature_sweep(self, projected_signatures):
+        points, weights = projected_signatures
+        cfg = simpoint_defaults()
+        for k in range(1, min(cfg.max_k, points.shape[0]) + 1):
+            options = dict(seed=cfg.seed + k,
+                           max_iterations=cfg.kmeans_iterations,
+                           restarts=cfg.kmeans_restarts)
+            assert_bit_identical(
+                _kmeans_state(weighted_kmeans(points, weights, k, **options)),
+                _kmeans_state(
+                    reference_weighted_kmeans(points, weights, k, **options)
+                ),
+                f"k={k}",
+            )
 
 
 # ---------------------------------------------------------------------------
