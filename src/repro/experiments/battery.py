@@ -19,13 +19,17 @@ import os
 import time
 
 from repro.config import simpoint_defaults, table1_8core, table1_32core
+from repro.core.signatures import SIGNATURE_VARIANTS
 from repro.errors import ConfigError
 from repro.experiments import paper_data
 from repro.experiments import common as _common
 from repro.experiments.common import (
+    CORE_COUNTS,
     ExperimentRunner,
     RetryPolicy,
     experiment_machine,
+    sweep_kind,
+    warmup_kind,
 )
 from repro.experiments import (
     ablations,
@@ -68,22 +72,26 @@ EXPERIMENTS = {
 #: the paper's figures.
 DEFAULT_BATTERY = tuple(n for n in EXPERIMENTS if n != "sweep")
 
-#: Expensive pass kinds each experiment consumes (via the runner's
-#: ``profiles``/``full``/``selection``/``evaluate_*`` methods — selection
-#: and the warmup/perfect evaluations derive from profiles and full runs).
-#: Drives the parallel prefetch so ``--only fig1`` never computes passes
-#: no selected figure needs.
+_SELECTION = ("profiles", sweep_kind("combine"))
+_PERFECT = (*_SELECTION, "full")
+
+#: Pass kinds each experiment reads through the runner's ``profiles``,
+#: ``full``, ``selection`` and ``evaluate_*`` methods: the stored
+#: profiles and full runs, the k sweep behind each signature variant's
+#: selection, and the warmed evaluations.  Drives the parallel prefetch
+#: so a selected figure only formats what the workers computed, and
+#: ``--only fig1`` computes nothing.
 EXPERIMENT_NEEDS: dict[str, tuple[str, ...]] = {
     "fig1": (),
-    "fig3": ("profiles", "full"),
-    "fig4": ("profiles", "full"),
-    "fig5": ("profiles", "full"),
-    "fig6": ("profiles", "full"),
-    "fig7": ("profiles", "full"),
-    "fig8": ("profiles", "full"),
-    "fig9": ("profiles", "full"),
-    "table3": ("profiles",),
-    "ablations": ("profiles", "full"),
+    "fig3": _PERFECT,
+    "fig4": _PERFECT,
+    "fig5": ("profiles", "full", *map(sweep_kind, SIGNATURE_VARIANTS)),
+    "fig6": _PERFECT,
+    "fig7": (*_PERFECT, warmup_kind("mru"), warmup_kind("cold")),
+    "fig8": _PERFECT,
+    "fig9": (*_PERFECT, warmup_kind("mru")),
+    "table3": _SELECTION,
+    "ablations": _PERFECT,
     # The sweep fans out its own (workload, machine) passes inside
     # ``sweep.compute`` — the default-machine prefetch would miss them.
     "sweep": (),
@@ -116,7 +124,8 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", "-j", type=int, default=None,
-        help="worker processes for the profile/full-run fan-out "
+        help="worker processes for the per-(benchmark, cores) fan-out of "
+             "profiles, full runs, k sweeps and warmup runs "
              "(default $REPRO_WORKERS or in-process)",
     )
     parser.add_argument(
@@ -260,6 +269,56 @@ def figure_key(runner: ExperimentRunner, name: str) -> str:
     )
 
 
+def experiment_pairs(
+    runner: ExperimentRunner, name: str
+) -> list[tuple[str, int]]:
+    """The (benchmark, cores) pairs an experiment reads.
+
+    A figure module that pins its pair with ``BENCHMARK`` and ``CORES``
+    constants (Fig. 3) reads that pair whatever the runner's suite;
+    every other figure reads the runner's ``benchmarks`` ×
+    ``CORE_COUNTS``.
+
+    Args:
+        runner: The runner the experiment would be computed with.
+        name: Experiment name in :data:`EXPERIMENTS`.
+
+    Returns:
+        The pairs, empty for an experiment that needs no passes.
+    """
+    if not EXPERIMENT_NEEDS[name]:
+        return []
+    module = EXPERIMENTS[name]
+    if hasattr(module, "BENCHMARK"):
+        return [(module.BENCHMARK, module.CORES)]
+    return [(b, nt) for b in runner.benchmarks for nt in CORE_COUNTS]
+
+
+def _prefetch(runner: ExperimentRunner, names: list[str]) -> None:
+    """Fan out, in one pool, every pass the named experiments read.
+
+    Each pair carries the union of the kinds its readers need.  Pairs
+    with more kinds are submitted first, so the longest tasks start
+    while the pool is emptiest.
+    """
+    plan: dict[tuple, set[str]] = {}
+    for name in names:
+        for pair in experiment_pairs(runner, name):
+            plan.setdefault(pair, set()).update(EXPERIMENT_NEEDS[name])
+    if not plan:
+        return
+    by_pair = {
+        pair: tuple(sorted(kinds))
+        for pair, kinds in sorted(plan.items(), key=lambda i: -len(i[1]))
+    }
+    grid = {(b, nt) for b in runner.benchmarks for nt in CORE_COUNTS}
+    kind_sets = set(by_pair.values())
+    if set(by_pair) == grid and len(kind_sets) == 1:
+        runner.prefetch(kinds=kind_sets.pop())
+    else:
+        runner.prefetch(pairs=by_pair)
+
+
 def run_experiments(
     runner: ExperimentRunner,
     names: list[str] | None = None,
@@ -269,8 +328,11 @@ def run_experiments(
 
     Figures whose rendered output is already in the store are served from
     it; if any figure must be computed and the runner has ``workers`` > 1,
-    the missing profile/full-run passes are first fanned out across the
-    process pool.  Output text is byte-identical however it was obtained.
+    every pass those figures read — profiles, full runs, k sweeps and
+    warmed evaluations, for each (benchmark, cores) pair they read — is
+    first fanned out across the process pool, so rendering only
+    reconstructs and formats.  Output text is byte-identical however it
+    was obtained.
 
     Args:
         runner: The configured experiment runner.
@@ -290,14 +352,8 @@ def run_experiments(
             text = runner._store_get("figure", figure_key(runner, name))
             if isinstance(text, str):
                 cached[name] = text
-        needed_kinds = sorted({
-            kind
-            for name in names
-            if name not in cached
-            for kind in EXPERIMENT_NEEDS.get(name, ("profiles", "full"))
-        })
-        if needed_kinds and runner.workers > 1:
-            runner.prefetch(kinds=tuple(needed_kinds))
+        if runner.workers > 1:
+            _prefetch(runner, [name for name in names if name not in cached])
         outputs: dict[str, str] = {}
         for name in names:
             start = time.perf_counter()

@@ -8,9 +8,12 @@ after a figure-only code change reuses everything whose inputs are
 unchanged instead of paying the full two-pass cost again.
 
 The per-(benchmark, core-count) passes are embarrassingly parallel;
-:meth:`ExperimentRunner.prefetch` fans them out across a process pool.
-Every pass is a deterministic function of ``(benchmark, threads, scale)``,
-so results are byte-identical regardless of worker count or scheduling.
+:meth:`ExperimentRunner.prefetch` fans them out across a process pool,
+one task per pair.  A task computes every pass the figures read for its
+pair: the stored profiles and full run, and the k sweeps and warmed
+evaluations derived from them.  Every pass is a deterministic function
+of ``(benchmark, threads, scale)`` and the SimPoint parameters, so
+results are byte-identical regardless of worker count or scheduling.
 
 The fan-out is fault tolerant (see ``docs/robustness.md``): failed tasks
 are retried with exponential backoff and deterministic jitter under a
@@ -584,8 +587,39 @@ def pair_key(
     )
 
 
+#: Pass kinds the artifact store persists and the checkpoint journal
+#: records.  Every other kind is derived from them in memory.
+STORED_KINDS = ("profiles", "full")
+
+
+def sweep_kind(variant: str) -> str:
+    """Pass kind of a signature variant's k sweep (fitted to ``maxK``)."""
+    return f"sweep:{variant}"
+
+
+def warmup_kind(warmup: str) -> str:
+    """Pass kind of the warmed evaluation (``"mru"`` or ``"cold"``)."""
+    return f"warmup:{warmup}"
+
+
+def _kind_inputs(kind: str) -> tuple[str, ...]:
+    """The stored passes a pass kind is computed from.
+
+    Raises:
+        ConfigError: For an unknown kind.
+    """
+    family, _, arg = kind.partition(":")
+    if kind in STORED_KINDS:
+        return ()
+    if family == "sweep" and arg in SIGNATURE_VARIANTS:
+        return ("profiles",)
+    if family == "warmup" and arg in ("mru", "cold"):
+        return STORED_KINDS
+    raise ConfigError(f"unknown pass kind {kind!r}")
+
+
 def compute_pair(task: tuple) -> tuple[str, int, str | None, dict]:
-    """Pool worker: compute the expensive passes for one (benchmark, machine).
+    """Pool worker: compute the passes of one (benchmark, machine) pair.
 
     Public fan-out submission hook: a picklable module-level callable in
     the :class:`FaultTolerantFanout` worker convention, shared by
@@ -594,43 +628,72 @@ def compute_pair(task: tuple) -> tuple[str, int, str | None, dict]:
     the retry/timeout/fault-injection semantics (and the byte-identical
     results) of the batch path.
 
+    Derived passes run through a serial, single-pair
+    :class:`ExperimentRunner` on the same store, so they take the code
+    path the parent would and give the same bytes.  Inputs this task was
+    not asked to compute are loaded from the store; they are neither
+    recomputed nor rewritten.
+
     Args:
         task: ``(name, num_threads, scale, store_root, want_profiles,
-            want_full, machine[, attempt, timeout])``.  ``store_root`` of
-            ``None`` skips persistence; ``machine`` of ``None`` selects
-            the default evaluation machine for ``num_threads``;
-            ``attempt`` is the 0-based retry attempt (fault-injection
-            identity); ``timeout`` is the per-task budget in seconds.
+            want_full, machine[, simpoint, derived[, attempt,
+            timeout]])``.  ``store_root`` of ``None`` skips persistence;
+            ``machine`` of ``None`` selects the default evaluation
+            machine for ``num_threads``; ``simpoint`` (``None`` = the
+            defaults) parameterizes the derived passes; ``derived``
+            lists :func:`sweep_kind`/:func:`warmup_kind` kinds to
+            compute; ``attempt`` is the 0-based retry attempt
+            (fault-injection identity); ``timeout`` is the per-task
+            budget in seconds.
 
     Returns:
         ``(name, num_threads, machine, states)`` where ``states`` maps
-        ``"profiles"`` to a list of :meth:`RegionProfile.to_state` dicts
-        and/or ``"full"`` to a :meth:`FullRunResult.to_state` dict.
+        ``"profiles"`` to a list of :meth:`RegionProfile.to_state` dicts,
+        ``"full"`` to a :meth:`FullRunResult.to_state` dict, each sweep
+        kind to its fitted :class:`~repro.clustering.simpoint.KSweep`
+        and each warmup kind to its
+        :class:`~repro.core.pipeline.PipelineResult`.
     """
     (name, num_threads, scale, store_root, want_profiles, want_full,
      machine, *rest) = task
-    attempt = rest[0] if rest else 0
-    timeout = rest[1] if len(rest) > 1 else None
+    defaults = (None, (), 0, None)
+    simpoint, derived, attempt, timeout = (*rest, *defaults[len(rest):])
     fault_key = _task_fault_key(name, num_threads, machine)
     with _time_limit(timeout, fault_key):
         maybe_inject("runner.task", key=fault_key, attempt=attempt)
-        workload = get_workload(name, num_threads, scale)
-        pipe = BarrierPointPipeline(_resolve_machine(num_threads, machine))
-        store = (
-            ArtifactStore(root=store_root) if store_root is not None else None
+        runner = ExperimentRunner(
+            scale=scale, benchmarks=(name,), workers=0,
+            simpoint=simpoint or simpoint_defaults(),
+            store=(
+                ArtifactStore(root=store_root)
+                if store_root is not None else None
+            ),
         )
+        workload = runner.workload(name, num_threads)
+        pipe = runner.pipeline(num_threads, machine=machine)
         key = pair_key(scale, name, num_threads, machine)
+        memo_key = (name, num_threads, machine)
         states: dict = {}
         if want_profiles:
             profiles = pipe.profile(workload)
             states["profiles"] = [p.to_state() for p in profiles]
-            if store is not None:
-                store.put("profiles", key, states["profiles"])
+            runner._store_put("profiles", key, states["profiles"])
+            runner._profiles[memo_key] = profiles
         if want_full:
             full = pipe.full_run(workload)
             states["full"] = full.to_state()
-            if store is not None:
-                store.put("full", key, states["full"])
+            runner._store_put("full", key, states["full"])
+            runner._fulls[memo_key] = full
+        for kind in derived:
+            slot, slot_key = runner._derived_slot(
+                kind, name, num_threads, machine
+            )
+            family, _, arg = kind.partition(":")
+            if family == "sweep":
+                runner.selection(name, num_threads, arg, machine=machine)
+            else:
+                runner.evaluate_warmup(name, num_threads, arg)
+            states[kind] = slot[slot_key]
     return name, num_threads, machine, states
 
 
@@ -641,7 +704,8 @@ class ExperimentRunner:
     ``scale`` shrinks workloads uniformly (1.0 = the calibrated default
     used for all reported numbers; tests use smaller values for speed).
     ``benchmarks`` defaults to the paper's full suite.  ``workers`` > 1
-    enables the process-parallel prefetch of profile/full-run passes
+    enables the process-parallel prefetch, which computes each pair's
+    profiles, full run, k sweeps and warmed evaluations in a worker
     (default from ``$REPRO_WORKERS``; results are identical either way).
     ``store`` persists the expensive artifacts across processes and runs;
     pass ``None`` to keep everything in memory.  ``sweep_machines`` names
@@ -736,18 +800,26 @@ class ExperimentRunner:
 
     def prefetch(
         self,
-        pairs: list[tuple] | None = None,
-        kinds: tuple[str, ...] = ("profiles", "full"),
+        pairs: list[tuple] | dict[tuple, tuple[str, ...]] | None = None,
+        kinds: tuple[str, ...] = STORED_KINDS,
     ) -> int:
-        """Fan the missing profile/full-run passes out across processes.
+        """Fan the missing passes out across processes, one task per pair.
 
-        Every (benchmark, machine) pass not already memoized, in the
-        store, or (under ``resume``) checkpointed by a previous run is
-        computed in a :class:`~concurrent.futures.ProcessPoolExecutor`
-        with ``self.workers`` workers; results land in the in-memory memo
-        and (when a store is configured) on disk, where other processes
-        can reuse them.  Each pass is deterministic, so the outcome is
-        identical to computing serially.
+        Every requested pass not already memoized, in the store, or
+        (under ``resume``) checkpointed by a previous run is computed in
+        a :class:`~concurrent.futures.ProcessPoolExecutor` with
+        ``self.workers`` workers.  Profiles and full runs land in the
+        in-memory memo and (when a store is configured) on disk, where
+        other processes can reuse them; k sweeps and warmed evaluations
+        land in the memo only.  Each pass is deterministic, so the
+        outcome is identical to computing serially.
+
+        A derived pass (sweep or warmup) brings its missing stored
+        inputs along: they are computed, stored and memoized like
+        requested passes.  Inputs already in the store are loaded by the
+        task, never recomputed or rewritten.  A derived pass whose input
+        only this process holds (memoized, not stored) is left to the
+        serial path, so no pass is ever computed twice.
 
         Failures are retried under :attr:`retry`; a broken pool is
         respawned (only incomplete tasks are resubmitted) and repeated
@@ -762,24 +834,29 @@ class ExperimentRunner:
             pairs: ``(benchmark, num_threads)`` pairs — or ``(benchmark,
                 num_threads, machine_name)`` triples for sweep passes on
                 registry machines — to cover; defaults to ``benchmarks``
-                × ``CORE_COUNTS`` on the default evaluation machines.
-            kinds: Which pass kinds to cover, from ``("profiles",
-                "full")``; callers that know they only need one kind
-                (e.g. selection-only figures) restrict the fan-out.
+                × ``CORE_COUNTS`` on the default evaluation machines.  A
+                mapping from pair to kinds gives each pair its own kinds
+                (``kinds`` is then ignored).
+            kinds: Which pass kinds to cover: ``"profiles"``, ``"full"``,
+                :func:`sweep_kind` and :func:`warmup_kind` kinds; callers
+                that know what their figures read restrict the fan-out
+                to it.  Warmup kinds apply to the default evaluation
+                machines only.
 
         Returns:
             Number of passes computed by the fan-out (0 when everything
             was already available or ``workers`` <= 1).
 
         Raises:
+            ConfigError: For an unknown kind, or a warmup kind on a
+                registry machine.
             RetryExhaustedError: When at least one task kept failing
                 through its whole attempt budget.
         """
         if pairs is None:
             pairs = [(b, nt) for b in self.benchmarks for nt in CORE_COUNTS]
-        normalized = [
-            pair if len(pair) == 3 else (*pair, None) for pair in pairs
-        ]
+        if not isinstance(pairs, dict):
+            pairs = dict.fromkeys(pairs, kinds)
         journal = self.journal()
         checkpointed: dict[str, set[str]] = {}
         if self.resume and journal is not None:
@@ -788,34 +865,51 @@ class ExperimentRunner:
         store_root = None
         if self.store is not None and self.store.enabled:
             store_root = str(self.store.root)
-        for name, num_threads, machine in normalized:
+        for pair, pair_kinds in pairs.items():
+            name, num_threads, machine = (
+                pair if len(pair) == 3 else (*pair, None)
+            )
             memo_key = (name, num_threads, machine)
             akey = pair_key(self.scale, name, num_threads, machine)
-            want_profiles = "profiles" in kinds and (
-                memo_key not in self._profiles
-                and not (
-                    self.store is not None
-                    and self.store.has("profiles", akey)
-                )
+            # ``_kind_inputs`` rejects unknown kinds and is empty exactly
+            # for the stored ones.
+            derived = [
+                kind for kind in pair_kinds
+                if _kind_inputs(kind) and not self._holds(kind, *memo_key)
+            ]
+            needed = set(pair_kinds).union(*map(_kind_inputs, derived))
+            held = {
+                "profiles": memo_key in self._profiles,
+                "full": memo_key in self._fulls,
+            }
+            stored = {
+                kind: self.store is not None and self.store.has(kind, akey)
+                for kind in STORED_KINDS
+            }
+            want_profiles, want_full = (
+                kind in needed and not (held[kind] or stored[kind])
+                for kind in STORED_KINDS
             )
-            want_full = "full" in kinds and (
-                memo_key not in self._fulls
-                and not (
-                    self.store is not None and self.store.has("full", akey)
-                )
-            )
+            # The task could only recompute an input that is memoized here
+            # but not stored; such a derived pass stays on the serial path.
+            derived = [
+                kind for kind in derived
+                if not any(held[i] and not stored[i]
+                           for i in _kind_inputs(kind))
+            ]
             # A journaled pass whose artifacts vanished from the store is
             # recomputed — the journal is trusted only together with the
             # artifacts it points at (want_* above already checked those).
-            if not (want_profiles or want_full):
-                if checkpointed.get(akey):
-                    self.report.resumed += 1
+            if not (want_profiles or want_full) and checkpointed.get(akey):
+                self.report.resumed += 1
+            if not (want_profiles or want_full or derived):
                 continue
             tasks.append(FanoutTask(
                 key=akey,
                 label=_task_fault_key(name, num_threads, machine),
                 args=(name, num_threads, self.scale, store_root,
-                      want_profiles, want_full, machine),
+                      want_profiles, want_full, machine, self.simpoint,
+                      tuple(derived)),
                 meta=memo_key,
             ))
         if not tasks or self.workers <= 1:
@@ -849,37 +943,62 @@ class ExperimentRunner:
         fanout.run(tasks, on_result=_absorb)
         return completed
 
+    def _holds(
+        self, kind: str, name: str, num_threads: int, machine: str | None
+    ) -> bool:
+        """Whether a derived pass is already memoized."""
+        slot, key = self._derived_slot(kind, name, num_threads, machine)
+        return key in slot
+
+    def _derived_slot(
+        self, kind: str, name: str, num_threads: int, machine: str | None
+    ) -> tuple[dict, tuple]:
+        """The memo and key a derived (sweep or warmup) pass lands in.
+
+        Raises:
+            ConfigError: For a warmup kind on a registry machine, which
+                :meth:`evaluate_warmup` does not evaluate.
+        """
+        family, _, arg = kind.partition(":")
+        if family == "sweep":
+            return self._sweeps, (name, num_threads, arg, machine)
+        if machine is not None:
+            raise ConfigError(
+                f"{kind} runs on the default evaluation machines, "
+                f"not {machine!r}"
+            )
+        return self._warmups, (name, num_threads, arg)
+
     def _ingest(
         self, task: FanoutTask, states: dict, journal: RunJournal | None
     ) -> int:
-        """Absorb one completed pass: memoize and journal it.
+        """Absorb one completed task: memoize its passes, journal the stored.
 
         Args:
             task: The completed fan-out task (``meta`` is the memo key).
-            states: The worker's ``{"profiles": ..., "full": ...}`` payload.
+            states: The worker's payload (see :func:`compute_pair`).
             journal: Checkpoint journal (``None`` = no checkpointing).
 
         Returns:
-            Number of pass kinds completed (for the prefetch count).
+            Number of passes completed (for the prefetch count).
         """
         name, num_threads, machine = task.meta
-        completed = 0
-        kinds: list[str] = []
-        if "profiles" in states:
-            self._profiles[task.meta] = [
-                RegionProfile.from_state(s) for s in states["profiles"]
-            ]
-            completed += 1
-            kinds.append("profiles")
-        if "full" in states:
-            self._fulls[task.meta] = FullRunResult.from_state(states["full"])
-            completed += 1
-            kinds.append("full")
-        if journal is not None:
-            journal.record_pass(
-                task.key, name, num_threads, machine, tuple(kinds)
-            )
-        return completed
+        for kind, state in states.items():
+            if kind == "profiles":
+                self._profiles[task.meta] = [
+                    RegionProfile.from_state(s) for s in state
+                ]
+            elif kind == "full":
+                self._fulls[task.meta] = FullRunResult.from_state(state)
+            else:
+                slot, key = self._derived_slot(
+                    kind, name, num_threads, machine
+                )
+                slot[key] = state
+        stored = tuple(kind for kind in STORED_KINDS if kind in states)
+        if journal is not None and stored:
+            journal.record_pass(task.key, name, num_threads, machine, stored)
+        return len(states)
 
     # ------------------------------------------------------------------
     # Cached building blocks

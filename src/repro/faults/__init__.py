@@ -5,7 +5,7 @@ The fault layer is both a test harness and a chaos knob: a seedable
 exceptions, artificial latency, and I/O errors / partial writes at named
 sites in the runner and store —
 
-* ``runner.task`` — a profile/full-run pass in a pool worker,
+* ``runner.task`` — a (benchmark, cores) pair's task in a pool worker,
 * ``store.put`` — an artifact write (between temp file and rename),
 * ``store.get`` — an artifact read,
 * ``trace.read`` — a ``.rpt`` chunk read,

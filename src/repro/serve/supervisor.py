@@ -86,7 +86,7 @@ def execute_job(task: tuple) -> list:
         want_profiles = spec.kind == "profile"
         compute_pair((
             spec.workload, spec.threads, spec.scale, store_root,
-            want_profiles, not want_profiles, spec.machine,
+            want_profiles, not want_profiles, spec.machine, None, (),
             attempt, timeout,
         ))
         return [list(pair) for pair in spec.artifacts()]

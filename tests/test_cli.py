@@ -462,7 +462,72 @@ def test_prefetch_scoped_to_selected_experiments(tmp_path, monkeypatch):
     battery.run_experiments(runner, ["fig1"])
     assert calls == []  # fig1 needs neither profiles nor full runs
     battery.run_experiments(runner, ["table3"])
-    assert calls == [(None, ("profiles",))]  # selection-only figure
+    # Selection-only figure: profiles and the combine sweep, no full run.
+    assert calls == [(None, ("profiles", "sweep:combine"))]
+
+
+def test_fixed_pair_figure_is_prefetched(tmp_path, monkeypatch):
+    """Fig. 3 reads npb-ft/32 whatever the suite; the fan-out covers it."""
+    runner = quick_runner(tmp_path, workers=2)
+    runner.benchmarks = ("npb-is",)
+    calls: list[tuple] = []
+    monkeypatch.setattr(
+        type(runner), "prefetch",
+        lambda self, pairs=None, kinds=("profiles", "full"):
+        calls.append((pairs, kinds)) or 0,
+    )
+    battery.run_experiments(runner, ["fig3", "table3"])
+    [(pairs, _)] = calls
+    assert pairs == {
+        ("npb-ft", 32): ("full", "profiles", "sweep:combine"),
+        ("npb-is", 8): ("profiles", "sweep:combine"),
+        ("npb-is", 32): ("profiles", "sweep:combine"),
+    }
+
+
+def test_parent_computes_nothing_after_fanout(tmp_path, monkeypatch):
+    """With a pool, rendering only reconstructs and formats.
+
+    Once the fan-out returns, the parent may not profile, run a full
+    simulation, fit k-means or replay a warmup; the output still equals
+    the serial run's byte for byte.
+    """
+    from repro.clustering import simpoint
+    from repro.core.pipeline import BarrierPointPipeline
+    from repro.sim.warmup import MRUWarmup
+
+    names = ["fig3", "fig5", "fig7", "table3"]
+    serial = quick_runner(tmp_path / "serial")
+    serial.benchmarks = ("npb-is",)
+    expected = battery.run_experiments(serial, names)
+
+    def forbidden(what):
+        def _call(*args, **kwargs):
+            raise AssertionError(f"parent called {what} after the fan-out")
+        return _call
+
+    fanned_out = []
+    prefetch = ExperimentRunner.prefetch
+
+    def guarded_prefetch(self, *args, **kwargs):
+        # The pool's workers have exited when prefetch returns, so the
+        # guard reaches the parent only.
+        computed = prefetch(self, *args, **kwargs)
+        for owner, attr in (
+            (BarrierPointPipeline, "profile"),
+            (BarrierPointPipeline, "full_run"),
+            (simpoint, "weighted_kmeans"),
+            (MRUWarmup, "prepare"),
+        ):
+            monkeypatch.setattr(owner, attr, forbidden(attr))
+        fanned_out.append(computed)
+        return computed
+
+    monkeypatch.setattr(ExperimentRunner, "prefetch", guarded_prefetch)
+    parallel = quick_runner(tmp_path / "parallel", workers=2)
+    parallel.benchmarks = ("npb-is",)
+    assert battery.run_experiments(parallel, names) == expected
+    assert fanned_out and fanned_out[0] > 0
 
 
 class TestFaultToleranceCLI:

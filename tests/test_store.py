@@ -229,6 +229,68 @@ class TestParallelPrefetch:
         )
 
 
+class TestDerivedPrefetch:
+    """Sweeps and warmed evaluations computed by the pool's tasks."""
+
+    KINDS = ("profiles", "full", "sweep:combine", "warmup:mru")
+
+    def test_matches_serial(self, tmp_path):
+        serial = make_runner(tmp_path / "serial", store=None)
+        parallel = make_runner(tmp_path, workers=2)
+        assert parallel.prefetch(pairs=[(BENCH, 8)], kinds=self.KINDS) == 4
+        assert (BENCH, 8, "combine", None) in parallel._sweeps
+        want, got = (r.evaluate_warmup(BENCH, 8) for r in (serial, parallel))
+        assert got.runtime_error_pct == want.runtime_error_pct
+        assert got.warmup_lines == want.warmup_lines
+        assert {i: m.to_state() for i, m in got.point_metrics.items()} == {
+            i: m.to_state() for i, m in want.point_metrics.items()
+        }
+        assert (
+            parallel.selection(BENCH, 8).selected_regions
+            == serial.selection(BENCH, 8).selected_regions
+        )
+
+    def test_stored_inputs_are_loaded_not_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        first = make_runner(tmp_path, workers=2)
+        assert first.prefetch(pairs=[(BENCH, 8)]) == 2
+        journaled = first.journal().completed_passes()
+
+        # Forked workers inherit the patches: a recompute or a rewrite
+        # fails the task.
+        forbid_compute(monkeypatch)
+
+        def _no_put(self, kind, key, payload):
+            raise AssertionError(f"stored {kind} rewritten")
+
+        monkeypatch.setattr(ArtifactStore, "put", _no_put)
+        resumed = make_runner(tmp_path, workers=2, resume=True)
+        assert resumed.prefetch(pairs=[(BENCH, 8)], kinds=self.KINDS) == 2
+        assert resumed.report.resumed == 1
+        assert [t.label for t in resumed.report.tasks] == ["npb-is/8t"]
+        assert resumed.journal().completed_passes() == journaled
+        assert (BENCH, 8, "mru") in resumed._warmups
+        assert (BENCH, 8, None) not in resumed._profiles  # loaded lazily
+
+    def test_input_held_only_in_memory_stays_serial(self, tmp_path):
+        runner = make_runner(tmp_path, workers=2, store=None)
+        runner.profiles(BENCH, 8)
+        assert runner.prefetch(
+            pairs=[(BENCH, 8)], kinds=("sweep:combine",)
+        ) == 0
+        assert not runner.report.tasks
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        runner = make_runner(tmp_path, workers=2)
+        with pytest.raises(common.ConfigError, match="unknown pass kind"):
+            runner.prefetch(pairs=[(BENCH, 8)], kinds=("sweep:nope",))
+        with pytest.raises(common.ConfigError, match="default evaluation"):
+            runner.prefetch(
+                pairs=[(BENCH, 8, "table1-8core")], kinds=("warmup:mru",)
+            )
+
+
 class TestJanitor:
     """GC sweeps: orphan reaping, TTL expiry, LRU quota eviction."""
 

@@ -35,9 +35,12 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: The battery configuration under test: quick scale, one profile-only
-#: figure, two workers (so passes land in the journal one at a time).
-BATTERY = ["--quick", "--only", "table3", "--workers", "2"]
+#: The battery configuration under test: quick scale, two workers (so
+#: passes land in the journal one at a time), and two figures whose tasks
+#: carry k sweeps and MRU/cold warmup evaluations besides the stored
+#: profiles and full runs.
+FIGURES = ("table3", "fig7")
+BATTERY = ["--quick", "--only", ",".join(FIGURES), "--workers", "2"]
 
 
 def _env(store: pathlib.Path) -> dict:
@@ -80,6 +83,11 @@ def _figures(args: list[str], store: pathlib.Path, out: pathlib.Path):
     return _run(["figures", *args, "--out", str(out)], store)
 
 
+def _outputs(out: pathlib.Path) -> list[str]:
+    """The rendered text of every figure under test, in order."""
+    return [(out / f"{name}.txt").read_text() for name in FIGURES]
+
+
 def kill_and_resume(workdir: pathlib.Path, timeout: float) -> int:
     """Run the three-step smoke; return a process exit code."""
     baseline_store = workdir / "baseline-store"
@@ -91,7 +99,7 @@ def kill_and_resume(workdir: pathlib.Path, timeout: float) -> int:
     result = _figures(BATTERY, baseline_store, baseline_out)
     if result.returncode != 0:
         return _fail(f"baseline run failed:\n{result.stderr}")
-    baseline_text = (baseline_out / "table3.txt").read_text()
+    baseline_text = _outputs(baseline_out)
 
     print("chaos_smoke: [2/3] SIGKILL mid-run ...")
     # start_new_session puts the run (and its pool workers) in a fresh
@@ -124,7 +132,7 @@ def kill_and_resume(workdir: pathlib.Path, timeout: float) -> int:
     result = _figures([*BATTERY, "--resume"], victim_store, victim_out)
     if result.returncode != 0:
         return _fail(f"--resume rerun failed:\n{result.stderr}")
-    resumed_text = (victim_out / "table3.txt").read_text()
+    resumed_text = _outputs(victim_out)
     if resumed_text != baseline_text:
         return _fail("resumed output differs from the uninterrupted baseline")
     report = result.stdout
