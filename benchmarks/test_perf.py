@@ -44,6 +44,27 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 REPEAT = int(os.environ.get("REPRO_BENCH_REPEAT", "2"))
 
 
+def _time_pair(fast, reference):
+    """Best-of-``REPEAT`` timings of a fast and a reference callable.
+
+    The repetitions alternate reference, fast, reference, fast, ..., as
+    ``bench/compare.py`` alternates its runs: host drift then lands on
+    both sides, and no two repetitions of one side run back to back, so
+    one slow stretch of the host cannot spoil all of a side's timings.
+
+    Returns:
+        The ``(fast, reference)`` pair of best
+        :class:`~repro.util.timing.TimedResult` values.
+    """
+    best: dict = {}
+    for _ in range(max(1, REPEAT)):
+        for fn in (reference, fast):
+            timed = time_call(fn)
+            if fn not in best or timed.seconds < best[fn].seconds:
+                best[fn] = timed
+    return best[fast], best[reference]
+
+
 def _assert_profiles_identical(fast, reference):
     assert len(fast) == len(reference)
     for a, b in zip(fast, reference):
@@ -111,24 +132,19 @@ def test_perf_all_workloads(runner, report):
             pass
 
         # -- profiling pass ------------------------------------------------
-        ref_prof = time_call(
-            lambda: ReferenceFunctionalProfiler(ref_workload).profile(), REPEAT
-        )
-        fast_prof = time_call(
-            lambda: FunctionalProfiler(workload).profile(), REPEAT
+        fast_prof, ref_prof = _time_pair(
+            lambda: FunctionalProfiler(workload).profile(),
+            lambda: ReferenceFunctionalProfiler(ref_workload).profile(),
         )
         _assert_profiles_identical(fast_prof.value, ref_prof.value)
         report.add(name, "profile", fast_prof.seconds, ref_prof.seconds)
 
         # -- full detailed simulation -------------------------------------
-        ref_full = time_call(
+        fast_full, ref_full = _time_pair(
+            lambda: Machine(config).run_full(workload),
             lambda: Machine(
                 config, hierarchy_factory=ReferenceMemoryHierarchy
             ).run_full(ref_workload),
-            REPEAT,
-        )
-        fast_full = time_call(
-            lambda: Machine(config).run_full(workload), REPEAT
         )
         for fr, rr in zip(fast_full.value.regions, ref_full.value.regions):
             _assert_metrics_identical(fr, rr)
@@ -158,8 +174,7 @@ def test_perf_all_workloads(runner, report):
                 ref_workload, mid, MRUWarmup(data)
             )
 
-        ref_rep = time_call(_ref_replay, REPEAT)
-        fast_rep = time_call(_fast_replay, REPEAT)
+        fast_rep, ref_rep = _time_pair(_fast_replay, _ref_replay)
         _assert_metrics_identical(fast_rep.value, ref_rep.value)
         report.add(name, "barrierpoint_replay",
                    fast_rep.seconds, ref_rep.seconds)

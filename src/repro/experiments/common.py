@@ -58,7 +58,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.experiments.journal import RunJournal
-from repro.faults import mark_process_sacrificial, maybe_inject
+from repro.faults import mark_process_sacrificial, maybe_inject, task_attempt
 from repro.profiling.profiler import RegionProfile
 from repro.sim.machine import FullRunResult
 from repro.store import ArtifactStore, code_fingerprint
@@ -265,10 +265,9 @@ class FanoutTask:
         key: Stable task identity — the retry-backoff/journal key (for
             battery passes this is the artifact-store key; for trace
             shards it covers the shard's content fingerprint and range).
-        label: Human identity used in reports and error messages.
-        args: Positional arguments of the worker function; the fan-out
-            appends ``(attempt, timeout)`` per attempt, so workers can
-            report fault-injection attempts and enforce time budgets.
+        label: Human identity used in reports and error messages, and
+            the ``runner.task`` fault-site key of every attempt.
+        args: Positional arguments of the worker function.
         meta: Opaque caller bookkeeping, handed back untouched with the
             task in the ``on_result`` callback (never pickled).
     """
@@ -288,8 +287,8 @@ class _TaskState:
     attempt: int = 0
 
 
-def _task_fault_key(name: str, num_threads: int, machine: str | None) -> str:
-    """The ``runner.task`` fault-site identity of one pass."""
+def _pair_label(name: str, num_threads: int, machine: str | None) -> str:
+    """The fan-out task label (and ``runner.task`` key) of one pair."""
     suffix = f"@{machine}" if machine else ""
     return f"{name}/{num_threads}t{suffix}"
 
@@ -330,6 +329,21 @@ def _time_limit(seconds: float | None, what: str):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _run_attempt(fn, args: tuple, label: str, attempt: int,
+                 timeout: float | None):
+    """Run one attempt of one fan-out task: the whole task contract.
+
+    Module-level so the pool can pickle it.  For the duration of the
+    call the thread's task attempt is ``attempt`` (read by the
+    ``trace.read`` site), the time budget is enforced, and the
+    ``runner.task`` site fires with the task label as its key; the
+    worker itself is a plain function of ``args``.
+    """
+    with task_attempt(attempt), _time_limit(timeout, label):
+        maybe_inject("runner.task", key=label, attempt=attempt)
+        return fn(*args)
+
+
 @dataclass
 class FaultTolerantFanout:
     """Reusable fault-tolerant task fan-out over a process pool.
@@ -345,11 +359,13 @@ class FaultTolerantFanout:
     :class:`~repro.errors.RetryExhaustedError` only after every other
     task has been drained.
 
-    ``fn`` must be a picklable module-level callable taking one tuple:
-    ``(*task.args, attempt, timeout)``.  It is responsible for honoring
-    the timeout (see :func:`_time_limit`) and reporting ``attempt`` to
-    fault-injection hooks, the convention :func:`compute_pair` and the
-    shard-replay workers follow.
+    ``fn`` is a picklable module-level function called as
+    ``fn(*task.args)``.  The fan-out owns the rest of the task contract:
+    each attempt runs under the per-task time budget
+    (``retry.timeout``), fires the ``runner.task`` fault site keyed by
+    ``task.label``, and exposes its 0-based attempt to the sites below
+    it (:func:`repro.faults.current_task_attempt`), so workers never see
+    an attempt counter or a timeout.
 
     Attributes:
         fn: The worker function.
@@ -406,8 +422,9 @@ class FaultTolerantFanout:
     # ------------------------------------------------------------------
 
     def _attempt_args(self, state: _TaskState) -> tuple:
-        """The worker-function argument tuple for a task's next attempt."""
-        return (*state.task.args, state.attempt, self.retry.timeout)
+        """The :func:`_run_attempt` arguments of a task's next attempt."""
+        return (self.fn, state.task.args, state.task.label, state.attempt,
+                self.retry.timeout)
 
     def _record_failure(self, state: _TaskState, exc: BaseException) -> bool:
         """Charge a failed attempt; return whether to retry.
@@ -463,7 +480,7 @@ class FaultTolerantFanout:
         for state in states:
             while True:
                 try:
-                    result = self.fn(self._attempt_args(state))
+                    result = _run_attempt(*self._attempt_args(state))
                 except Exception as exc:
                     if self._record_failure(state, exc):
                         continue
@@ -497,7 +514,7 @@ class FaultTolerantFanout:
             broken = False
             try:
                 futures = {
-                    pool.submit(self.fn, self._attempt_args(s)): s
+                    pool.submit(_run_attempt, *self._attempt_args(s)): s
                     for s in pending
                 }
                 pending.clear()
@@ -531,7 +548,7 @@ class FaultTolerantFanout:
                         except Exception as exc:
                             if self._record_failure(state, exc):
                                 futures[pool.submit(
-                                    self.fn, self._attempt_args(state)
+                                    _run_attempt, *self._attempt_args(state)
                                 )] = state
                             else:
                                 failed.append(state)
@@ -618,33 +635,41 @@ def _kind_inputs(kind: str) -> tuple[str, ...]:
     raise ConfigError(f"unknown pass kind {kind!r}")
 
 
-def compute_pair(task: tuple) -> tuple[str, int, str | None, dict]:
+def compute_pair(
+    name: str,
+    num_threads: int,
+    scale: float,
+    store_root: str | None,
+    machine: str | None = None,
+    kinds: tuple[str, ...] = STORED_KINDS,
+    simpoint: SimPointConfig | None = None,
+) -> tuple[str, int, str | None, dict]:
     """Pool worker: compute the passes of one (benchmark, machine) pair.
 
-    Public fan-out submission hook: a picklable module-level callable in
-    the :class:`FaultTolerantFanout` worker convention, shared by
-    :meth:`ExperimentRunner.prefetch` and the ``repro serve`` job
-    supervisor — both submit the same function, so a served job inherits
-    the retry/timeout/fault-injection semantics (and the byte-identical
+    Public fan-out submission hook: a picklable module-level function
+    shared by :meth:`ExperimentRunner.prefetch` and the ``repro serve``
+    job supervisor — both submit it through
+    :class:`FaultTolerantFanout`, so a served job inherits the
+    retry/timeout/fault-injection semantics (and the byte-identical
     results) of the batch path.
 
-    Derived passes run through a serial, single-pair
-    :class:`ExperimentRunner` on the same store, so they take the code
-    path the parent would and give the same bytes.  Inputs this task was
-    not asked to compute are loaded from the store; they are neither
-    recomputed nor rewritten.
+    Every pass runs through a serial, single-pair
+    :class:`ExperimentRunner` on the same store, so it takes the code
+    path the parent would and gives the same bytes: stored passes are
+    loaded from the store when present and otherwise computed and
+    stored, and derived passes read their inputs the same way.
 
     Args:
-        task: ``(name, num_threads, scale, store_root, want_profiles,
-            want_full, machine[, simpoint, derived[, attempt,
-            timeout]])``.  ``store_root`` of ``None`` skips persistence;
-            ``machine`` of ``None`` selects the default evaluation
-            machine for ``num_threads``; ``simpoint`` (``None`` = the
-            defaults) parameterizes the derived passes; ``derived``
-            lists :func:`sweep_kind`/:func:`warmup_kind` kinds to
-            compute; ``attempt`` is the 0-based retry attempt
-            (fault-injection identity); ``timeout`` is the per-task
-            budget in seconds.
+        name: Workload name.
+        num_threads: Thread count of the pair.
+        scale: Workload scale.
+        store_root: Artifact-store root (``None`` skips persistence).
+        machine: Registry machine name (``None`` = the default
+            evaluation machine for ``num_threads``).
+        kinds: Pass kinds to compute and return: ``"profiles"``,
+            ``"full"``, :func:`sweep_kind` and :func:`warmup_kind` kinds.
+        simpoint: SimPoint parameters of the derived passes (``None`` =
+            the defaults).
 
     Returns:
         ``(name, num_threads, machine, states)`` where ``states`` maps
@@ -654,37 +679,21 @@ def compute_pair(task: tuple) -> tuple[str, int, str | None, dict]:
         and each warmup kind to its
         :class:`~repro.core.pipeline.PipelineResult`.
     """
-    (name, num_threads, scale, store_root, want_profiles, want_full,
-     machine, *rest) = task
-    defaults = (None, (), 0, None)
-    simpoint, derived, attempt, timeout = (*rest, *defaults[len(rest):])
-    fault_key = _task_fault_key(name, num_threads, machine)
-    with _time_limit(timeout, fault_key):
-        maybe_inject("runner.task", key=fault_key, attempt=attempt)
-        runner = ExperimentRunner(
-            scale=scale, benchmarks=(name,), workers=0,
-            simpoint=simpoint or simpoint_defaults(),
-            store=(
-                ArtifactStore(root=store_root)
-                if store_root is not None else None
-            ),
-        )
-        workload = runner.workload(name, num_threads)
-        pipe = runner.pipeline(num_threads, machine=machine)
-        key = pair_key(scale, name, num_threads, machine)
-        memo_key = (name, num_threads, machine)
-        states: dict = {}
-        if want_profiles:
-            profiles = pipe.profile(workload)
-            states["profiles"] = [p.to_state() for p in profiles]
-            runner._store_put("profiles", key, states["profiles"])
-            runner._profiles[memo_key] = profiles
-        if want_full:
-            full = pipe.full_run(workload)
-            states["full"] = full.to_state()
-            runner._store_put("full", key, states["full"])
-            runner._fulls[memo_key] = full
-        for kind in derived:
+    runner = ExperimentRunner(
+        scale=scale, benchmarks=(name,), workers=0,
+        simpoint=simpoint or simpoint_defaults(),
+        store=(
+            ArtifactStore(root=store_root) if store_root is not None else None
+        ),
+    )
+    states: dict = {}
+    for kind in kinds:
+        if kind == "profiles":
+            profiles = runner.profiles(name, num_threads, machine)
+            states[kind] = [p.to_state() for p in profiles]
+        elif kind == "full":
+            states[kind] = runner.full(name, num_threads, machine).to_state()
+        else:
             slot, slot_key = runner._derived_slot(
                 kind, name, num_threads, machine
             )
@@ -886,10 +895,10 @@ class ExperimentRunner:
                 kind: self.store is not None and self.store.has(kind, akey)
                 for kind in STORED_KINDS
             }
-            want_profiles, want_full = (
-                kind in needed and not (held[kind] or stored[kind])
-                for kind in STORED_KINDS
-            )
+            wanted = [
+                kind for kind in STORED_KINDS
+                if kind in needed and not (held[kind] or stored[kind])
+            ]
             # The task could only recompute an input that is memoized here
             # but not stored; such a derived pass stays on the serial path.
             derived = [
@@ -899,17 +908,16 @@ class ExperimentRunner:
             ]
             # A journaled pass whose artifacts vanished from the store is
             # recomputed — the journal is trusted only together with the
-            # artifacts it points at (want_* above already checked those).
-            if not (want_profiles or want_full) and checkpointed.get(akey):
+            # artifacts it points at (``wanted`` above already checked those).
+            if not wanted and checkpointed.get(akey):
                 self.report.resumed += 1
-            if not (want_profiles or want_full or derived):
+            if not (wanted or derived):
                 continue
             tasks.append(FanoutTask(
                 key=akey,
-                label=_task_fault_key(name, num_threads, machine),
-                args=(name, num_threads, self.scale, store_root,
-                      want_profiles, want_full, machine, self.simpoint,
-                      tuple(derived)),
+                label=_pair_label(name, num_threads, machine),
+                args=(name, num_threads, self.scale, store_root, machine,
+                      (*wanted, *derived), self.simpoint),
                 meta=memo_key,
             ))
         if not tasks or self.workers <= 1:

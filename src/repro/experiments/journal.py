@@ -6,33 +6,24 @@ fingerprint, so a ``--scale`` change never resumes from the wrong run).
 Each line records one completed expensive pass — ``(workload, threads,
 machine)`` plus which artifact kinds were produced — flushed and fsynced
 as it happens, so a SIGKILLed battery leaves a journal describing
-exactly what finished.
+exactly what finished.  The file format is the shared
+:class:`~repro.util.journal.Journal`; this module owns only the schema.
 
 On ``--resume`` the runner loads the journal and skips every journaled
 pass whose artifacts are still present in the store, recomputing only
-the unfinished remainder.  Loading tolerates a torn final line (the
-crash may have landed mid-append) by ignoring it.
+the unfinished remainder.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
+from repro.util.journal import Journal
 
 #: Journal directory name under the store root.
 JOURNAL_DIR = "journal"
 
 
-class RunJournal:
-    """Append-only completion journal for one runner configuration.
-
-    Args:
-        path: The journal file (created on first append).
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = pathlib.Path(path)
+class RunJournal(Journal):
+    """Append-only completion journal for one runner configuration."""
 
     @classmethod
     def for_runner(cls, store, runner_fingerprint: str) -> RunJournal | None:
@@ -69,53 +60,28 @@ class RunJournal:
                 evaluation machine.
             kinds: Artifact kinds completed (``"profiles"``/``"full"``).
         """
-        entry = {
+        self.append({
             "event": "pass",
             "key": key,
             "name": name,
             "nt": num_threads,
             "machine": machine,
             "kinds": sorted(kinds),
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        })
 
     def completed_passes(self) -> dict[str, set[str]]:
         """Load the journal: artifact key -> set of completed kinds.
-
-        A truncated final line (crash mid-append) and any unparsable
-        line are skipped — the journal under-promises rather than lies.
 
         Returns:
             The completion map (empty when no journal exists yet).
         """
         completed: dict[str, set[str]] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return completed
-        for line in text.splitlines():
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(entry, dict) or entry.get("event") != "pass":
-                continue
+        for entry in self.entries():
             key = entry.get("key")
             kinds = entry.get("kinds")
-            if isinstance(key, str) and isinstance(kinds, list):
+            if (entry["event"] == "pass" and isinstance(key, str)
+                    and isinstance(kinds, list)):
                 completed.setdefault(key, set()).update(
                     k for k in kinds if isinstance(k, str)
                 )
         return completed
-
-    def clear(self) -> None:
-        """Delete the journal file (fresh non-resumed runs start clean)."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass

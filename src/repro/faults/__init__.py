@@ -5,10 +5,10 @@ The fault layer is both a test harness and a chaos knob: a seedable
 exceptions, artificial latency, and I/O errors / partial writes at named
 sites in the runner and store —
 
-* ``runner.task`` — a (benchmark, cores) pair's task in a pool worker,
+* ``runner.task`` — one attempt of a fan-out task (keyed by its label),
 * ``store.put`` — an artifact write (between temp file and rename),
 * ``store.get`` — an artifact read,
-* ``trace.read`` — a ``.rpt`` chunk read,
+* ``trace.read`` — a ``.rpt`` chunk read (at the enclosing task's attempt),
 * ``serve.request`` — an HTTP request entering the ``repro serve``
   dispatcher (surfaces as a structured 5xx response, never a hang) —
 
@@ -30,10 +30,12 @@ from repro.faults.plan import (
     FaultPlan,
     FaultRule,
     active_plan,
+    current_task_attempt,
     install_plan,
     mark_process_sacrificial,
     maybe_corrupt,
     maybe_inject,
+    task_attempt,
     uninstall_plan,
 )
 
@@ -45,9 +47,11 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "active_plan",
+    "current_task_attempt",
     "install_plan",
     "mark_process_sacrificial",
     "maybe_corrupt",
     "maybe_inject",
+    "task_attempt",
     "uninstall_plan",
 ]

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, InjectedFaultError
@@ -265,6 +267,37 @@ def mark_process_sacrificial(flag: bool = True) -> None:
     """
     global _SACRIFICIAL
     _SACRIFICIAL = flag
+
+
+#: Per-thread retry attempt of the fan-out task running on that thread.
+#: Thread-local because ``repro serve`` runs fan-outs on worker threads.
+_TASK = threading.local()
+
+
+@contextmanager
+def task_attempt(attempt: int):
+    """Mark the enclosed block as retry ``attempt`` of a fan-out task.
+
+    The fan-out wraps every task attempt in this scope; sites below the
+    task that lack their own retry counter (``trace.read``) report
+    :func:`current_task_attempt`, so attempt-gated rules stop firing on
+    the task's retries.  Scopes nest: the outer attempt is restored on
+    exit.
+
+    Args:
+        attempt: The task's 0-based attempt.
+    """
+    previous = getattr(_TASK, "attempt", 0)
+    _TASK.attempt = attempt
+    try:
+        yield
+    finally:
+        _TASK.attempt = previous
+
+
+def current_task_attempt() -> int:
+    """The 0-based attempt of the fan-out task on this thread (0 outside)."""
+    return getattr(_TASK, "attempt", 0)
 
 
 def install_plan(plan: FaultPlan | None, export: bool = True) -> None:

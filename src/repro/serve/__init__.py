@@ -27,7 +27,6 @@ from repro.serve.jobs import JOB_KINDS, JobRecord, JobSpec
 from repro.serve.service import ReproService, configure_serve_logging
 from repro.serve.supervisor import (
     JobSupervisor,
-    ServeJournal,
     ServiceDrainingError,
     execute_job,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "JobSpec",
     "JobSupervisor",
     "ReproService",
-    "ServeJournal",
     "ServiceDrainingError",
     "configure_serve_logging",
     "execute_job",

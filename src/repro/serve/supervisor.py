@@ -15,11 +15,13 @@ engine:
   computation — N identical submissions resolve to one computation and
   N completions.  Submissions whose artifacts are already in the store
   complete instantly without computing anything (warm hits);
-* a crash-tolerant JSONL **journal** (the PR 5 pattern: append + flush +
-  fsync, torn final line tolerated) under ``<store>/serve/journal.jsonl``
-  recording every submission and terminal state, so ``--resume``
-  restores the queued/running backlog of a killed server and recomputes
-  exactly that.
+* a crash-tolerant JSONL **journal** — the runner's checkpoint-journal
+  format (:class:`~repro.util.journal.Journal`) — under
+  ``<store>/serve/journal.jsonl`` recording every submission and
+  terminal state, so ``--resume`` restores the queued/running backlog of
+  a killed server and recomputes exactly that.  While the service is
+  busy the journal's mtime stays fresh, so the janitor's TTL/LRU sweeps
+  leave an active journal alone.
 
 Worker threads, not processes: the expensive passes release the GIL in
 their numpy kernels, results flow through the artifact store either
@@ -30,10 +32,8 @@ relies on retry budgets for liveness.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import json
-import os
-import pathlib
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -44,12 +44,11 @@ from repro.experiments.common import (
     FanoutTask,
     FaultTolerantFanout,
     RetryPolicy,
-    _time_limit,
     compute_pair,
 )
-from repro.faults import maybe_inject
-from repro.serve.jobs import JobRecord, JobSpec
+from repro.serve.jobs import _PASS_ARTIFACT, JobRecord, JobSpec
 from repro.store import ArtifactStore, put_count
+from repro.util.journal import Journal
 
 #: Journal location under the artifact-store root.
 JOURNAL_DIR = "serve"
@@ -60,38 +59,31 @@ class ServiceDrainingError(ReproError):
     """A submission arrived while the service is draining for shutdown."""
 
 
-def execute_job(task: tuple) -> list:
+def execute_job(spec_dict: dict, store_root: str | None) -> list:
     """Worker function: execute one job spec to completion.
 
-    Module-level and in the :class:`FaultTolerantFanout` convention
-    (``(*args, attempt, timeout)``), so the supervisor's fan-out drives
-    it with the same retry machinery as the batch runner.  ``profile``
-    and ``full`` jobs go through :func:`compute_pair` — literally the
-    batch runner's pool worker, with its ``runner.task`` fault site and
-    store writes — so a served pass is byte-identical to a CLI pass by
-    construction.  ``figure``/``sweep`` jobs drive
+    Module-level, so the supervisor's fan-out drives it with the same
+    retry machinery, ``runner.task`` fault site and time budget as the
+    batch runner.  ``profile`` and ``full`` jobs go through
+    :func:`compute_pair` — literally the batch runner's pool worker,
+    with its store writes — so a served pass is byte-identical to a CLI
+    pass by construction.  ``figure``/``sweep`` jobs drive
     :func:`battery.run_experiments` with a serial runner.
 
     Args:
-        task: ``(spec_dict, store_root[, attempt, timeout])``.
+        spec_dict: The job's canonical :meth:`JobSpec.to_dict` form.
+        store_root: Artifact-store root (``None`` = no store).
 
     Returns:
         The job's ``[(artifact_kind, store_key), ...]`` list.
     """
-    spec_dict, store_root, *rest = task
-    attempt = rest[0] if rest else 0
-    timeout = rest[1] if len(rest) > 1 else None
     spec = JobSpec.from_dict(spec_dict)
-    if spec.kind in ("profile", "full"):
-        want_profiles = spec.kind == "profile"
-        compute_pair((
+    if spec.kind in _PASS_ARTIFACT:
+        compute_pair(
             spec.workload, spec.threads, spec.scale, store_root,
-            want_profiles, not want_profiles, spec.machine, None, (),
-            attempt, timeout,
-        ))
-        return [list(pair) for pair in spec.artifacts()]
-    with _time_limit(timeout, spec.label()):
-        maybe_inject("runner.task", key=spec.label(), attempt=attempt)
+            machine=spec.machine, kinds=(_PASS_ARTIFACT[spec.kind],),
+        )
+    else:
         store = (
             ArtifactStore(root=store_root)
             if store_root is not None
@@ -101,82 +93,6 @@ def execute_job(task: tuple) -> list:
             spec.runner(store), [spec.effective_figure()]
         )
     return [list(pair) for pair in spec.artifacts()]
-
-
-class ServeJournal:
-    """Append-only JSONL journal of the service's job lifecycle.
-
-    Same durability contract as the runner's checkpoint journal: every
-    event is flushed and fsynced as it is appended, and replay skips a
-    torn final line (the crash may have landed mid-append) and any
-    unparsable line — the journal under-promises rather than lies.
-
-    While the service is busy the journal's mtime stays fresh, so the
-    janitor's TTL/LRU sweeps (which treat every store file uniformly)
-    leave an active journal alone.
-
-    Args:
-        path: The journal file (created on first append).
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = pathlib.Path(path)
-        self._lock = threading.Lock()
-
-    @classmethod
-    def for_store(cls, store: ArtifactStore | None) -> ServeJournal | None:
-        """The journal of a store-backed service (``None`` = nowhere durable).
-
-        Args:
-            store: The service's artifact store.
-
-        Returns:
-            The journal, or ``None`` when the store is absent/disabled.
-        """
-        if store is None or not store.enabled:
-            return None
-        return cls(store.root / JOURNAL_DIR / JOURNAL_NAME)
-
-    def record(self, entry: dict) -> None:
-        """Append one event durably (flush + fsync).
-
-        Args:
-            entry: JSON-ready event dict (must carry an ``"event"`` key).
-        """
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def replay(self) -> list[dict]:
-        """Load every intact event, in append order.
-
-        Returns:
-            The event dicts (empty when no journal exists yet).
-        """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        events: list[dict] = []
-        for line in text.splitlines():
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and "event" in entry:
-                events.append(entry)
-        return events
-
-    def clear(self) -> None:
-        """Delete the journal file."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
 
 
 @dataclass
@@ -216,15 +132,7 @@ class ServeCounters:
 
     def to_dict(self) -> dict:
         """JSON-ready counter snapshot."""
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "computations": self.computations,
-            "completed": self.completed,
-            "failed": self.failed,
-            "resumed": self.resumed,
-        }
+        return dataclasses.asdict(self)
 
 
 class JobSupervisor:
@@ -252,7 +160,10 @@ class JobSupervisor:
         retry = retry if retry is not None else RetryPolicy.from_env()
         self.retry = replace(retry, timeout=None)
         self.resume = resume
-        self.journal = ServeJournal.for_store(self.store)
+        self.journal = (
+            Journal(self.store.root / JOURNAL_DIR / JOURNAL_NAME)
+            if self.store.enabled else None
+        )
         self.counters = ServeCounters()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -352,50 +263,61 @@ class JobSupervisor:
                 id=f"job-{next(self._ids)}",
                 spec=spec,
                 fingerprint=fingerprint,
+                coalesced=fingerprint in self._inflight,
             )
-            self.counters.submitted += 1
-            computation = self._inflight.get(fingerprint)
-            if computation is not None:
-                record.coalesced = True
-                record.state = computation.state
-                computation.job_ids.append(record.id)
-                self.counters.coalesced += 1
-                self._admit(record)
-            elif all(self.store.has(kind, key) for kind, key in artifacts):
-                record.state = "done"
-                record.cached = True
-                record.artifacts = artifacts
-                self.counters.cache_hits += 1
-                self._admit(record)
-                self._journal_event({
-                    "event": "done",
-                    "id": record.id,
-                    "artifacts": [list(pair) for pair in artifacts],
-                    "cached": True,
-                })
-            else:
-                computation = _Computation(
-                    fingerprint=fingerprint, spec=spec,
-                    job_ids=[record.id],
-                )
-                self._inflight[fingerprint] = computation
-                self._queue.append(computation)
-                self.counters.computations += 1
-                self._admit(record)
-                self._wakeup.notify()
+            self._register(record)
+            self._journal_event({
+                "event": "submit",
+                "id": record.id,
+                "fingerprint": record.fingerprint,
+                "spec": record.spec.to_dict(),
+                "coalesced": record.coalesced,
+            })
+            self._place(record, artifacts)
             return record
 
-    def _admit(self, record: JobRecord) -> None:
-        """Register a job record and journal its submission (lock held)."""
+    def _register(self, record: JobRecord) -> None:
+        """Add a job record to the table, in order (lock held)."""
         self._jobs[record.id] = record
         self._order.append(record.id)
-        self._journal_event({
-            "event": "submit",
-            "id": record.id,
-            "fingerprint": record.fingerprint,
-            "spec": record.spec.to_dict(),
-            "coalesced": record.coalesced,
-        })
+        self.counters.submitted += 1
+
+    def _place(
+        self, record: JobRecord, artifacts: tuple[tuple[str, str], ...]
+    ) -> None:
+        """Coalesce, serve warm, or enqueue one queued job (lock held).
+
+        The job attaches to an in-flight computation of the same
+        fingerprint, or completes at once when the store already holds
+        all its ``artifacts`` (journaling the ``done`` event), or starts
+        a new queued computation.
+        """
+        computation = self._inflight.get(record.fingerprint)
+        if computation is not None:
+            record.coalesced = True
+            record.state = computation.state
+            computation.job_ids.append(record.id)
+            self.counters.coalesced += 1
+        elif all(self.store.has(kind, key) for kind, key in artifacts):
+            record.state = "done"
+            record.cached = True
+            record.artifacts = artifacts
+            self.counters.cache_hits += 1
+            self._journal_event({
+                "event": "done",
+                "id": record.id,
+                "artifacts": [list(pair) for pair in artifacts],
+                "cached": True,
+            })
+        else:
+            computation = _Computation(
+                fingerprint=record.fingerprint, spec=record.spec,
+                job_ids=[record.id],
+            )
+            self._inflight[record.fingerprint] = computation
+            self._queue.append(computation)
+            self.counters.computations += 1
+            self._wakeup.notify()
 
     def job(self, job_id: str) -> JobRecord | None:
         """Look up one job record by id."""
@@ -508,7 +430,7 @@ class JobSupervisor:
     def _journal_event(self, entry: dict) -> None:
         """Record one journal event (no-op without a durable journal)."""
         if self.journal is not None:
-            self.journal.record(entry)
+            self.journal.append(entry)
 
     def _restore(self) -> None:
         """Rebuild job records from the journal; re-enqueue the backlog.
@@ -521,7 +443,7 @@ class JobSupervisor:
         """
         if self.journal is None:
             return
-        events = self.journal.replay()
+        events = self.journal.entries()
         records: dict[str, JobRecord] = {}
         order: list[str] = []
         for entry in events:
@@ -559,17 +481,9 @@ class JobSupervisor:
                 number = job_id.rsplit("-", 1)[-1]
                 if number.isdigit():
                     highest = max(highest, int(number))
-                self._jobs[job_id] = record
-                self._order.append(job_id)
-                self.counters.submitted += 1
+                self._register(record)
                 self.counters.resumed += 1
                 if record.state != "queued":
-                    continue
-                computation = self._inflight.get(record.fingerprint)
-                if computation is not None:
-                    record.coalesced = True
-                    computation.job_ids.append(job_id)
-                    self.counters.coalesced += 1
                     continue
                 # Artifacts may have landed after the last journal entry
                 # (the done event was lost with the process): trust only
@@ -580,26 +494,5 @@ class JobSupervisor:
                     record.state = "failed"
                     record.error = "resume: job inputs no longer readable"
                     continue
-                if all(
-                    self.store.has(kind, key) for kind, key in artifacts
-                ):
-                    record.state = "done"
-                    record.cached = True
-                    record.artifacts = artifacts
-                    self.counters.cache_hits += 1
-                    self._journal_event({
-                        "event": "done",
-                        "id": job_id,
-                        "artifacts": [list(pair) for pair in artifacts],
-                        "cached": True,
-                    })
-                    continue
-                computation = _Computation(
-                    fingerprint=record.fingerprint,
-                    spec=record.spec,
-                    job_ids=[job_id],
-                )
-                self._inflight[record.fingerprint] = computation
-                self._queue.append(computation)
-                self.counters.computations += 1
+                self._place(record, artifacts)
             self._ids = itertools.count(highest + 1)

@@ -207,10 +207,6 @@ class TraceReader:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = pathlib.Path(path)
-        #: Retry attempt reported to the ``trace.read`` fault site.  Task
-        #: runners that retry a whole replay (e.g. the sharded fan-out)
-        #: set this so attempt-gated fault rules stop firing on retries.
-        self.fault_attempt = 0
         with self._open() as file:
             self.meta = self._read_header(file)
             self._offsets = self._index_chunks(file)
@@ -392,12 +388,12 @@ class TraceReader:
 
     def _read_payload(self, region_index: int) -> bytes:
         """Read and CRC-validate one region's raw payload bytes."""
-        from repro.faults import maybe_inject
+        from repro.faults import current_task_attempt, maybe_inject
 
         maybe_inject(
             "trace.read",
             key=f"{self.path}#{region_index}",
-            attempt=self.fault_attempt,
+            attempt=current_task_attempt(),
         )
         offset, length, crc = self._offsets[region_index]
         with self._open() as file:

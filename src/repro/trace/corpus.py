@@ -415,12 +415,17 @@ def conformance_machine(num_threads: int, backend: str):
     )
 
 
-def _verify_conformance_task(task: tuple) -> dict:
+def _verify_conformance_task(
+    trace_path: str, backend: str, num_threads: int, num_shards: int
+) -> dict:
     """Pool worker: one entry × backend differential-conformance check.
 
     Args:
-        task: ``(trace_path, backend, num_threads, num_shards
-            [, attempt, timeout])``.
+        trace_path: The entry's ``.rpt`` file.
+        backend: Hierarchy backend name.
+        num_threads: The trace's thread count.
+        num_shards: Shard count of the sharded leg (capped at the
+            trace's region count).
 
     Returns:
         ``{"unsharded", "sharded"}`` profile digests plus
@@ -428,37 +433,29 @@ def _verify_conformance_task(task: tuple) -> dict:
         the plain replay and of the split-shard-merge replay.
     """
     from repro.core.pipeline import BarrierPointPipeline
-    from repro.experiments.common import _time_limit
-    from repro.faults import maybe_inject
     from repro.profiling.profiler import profiles_digest
     from repro.trace.shard import ShardedReplay, split_trace
     from repro.workloads.replay import ReplayWorkload
 
-    (trace_path, backend, num_threads, num_shards, *rest) = task
-    attempt = rest[0] if rest else 0
-    timeout = rest[1] if len(rest) > 1 else None
-    label = f"verify:{pathlib.Path(trace_path).name}@{backend}"
-    with _time_limit(timeout, label):
-        maybe_inject("runner.task", key=label, attempt=attempt)
-        machine = conformance_machine(num_threads, backend)
-        pipe = BarrierPointPipeline(machine)
-        replay = ReplayWorkload(trace_path)
-        try:
-            shards = min(num_shards, replay.num_regions)
-            unsharded = profiles_digest(pipe.profile(replay))
-            unsharded_full = full_run_digest(pipe.full_run(replay))
-        finally:
-            replay.close()
-        workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-verify-"))
-        try:
-            shard_paths = split_trace(trace_path, workdir, num_shards=shards)
-            profiles, full = ShardedReplay(
-                shard_paths, machine, workers=0
-            ).run(want_profiles=True, want_full=True)
-            sharded = profiles_digest(profiles)
-            sharded_full = full_run_digest(full)
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
+    machine = conformance_machine(num_threads, backend)
+    pipe = BarrierPointPipeline(machine)
+    replay = ReplayWorkload(trace_path)
+    try:
+        shards = min(num_shards, replay.num_regions)
+        unsharded = profiles_digest(pipe.profile(replay))
+        unsharded_full = full_run_digest(pipe.full_run(replay))
+    finally:
+        replay.close()
+    workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-verify-"))
+    try:
+        shard_paths = split_trace(trace_path, workdir, num_shards=shards)
+        profiles, full = ShardedReplay(
+            shard_paths, machine, workers=0
+        ).run(want_profiles=True, want_full=True)
+        sharded = profiles_digest(profiles)
+        sharded_full = full_run_digest(full)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     return {
         "unsharded": unsharded,
         "sharded": sharded,

@@ -419,64 +419,46 @@ class ShardChainReplay(Workload):
             f"{str(reader.path)!r} (global region {region_index})",
         )
 
-    def set_fault_attempt(self, attempt: int) -> None:
-        """Report a task retry attempt to the ``trace.read`` fault site.
-
-        Args:
-            attempt: The enclosing task's 0-based attempt; attempt-gated
-                fault rules stop firing once it reaches their budget, so
-                retried shard tasks recover deterministically.
-        """
-        for reader in self._readers:
-            reader.fault_attempt = attempt
-
     def close(self) -> None:
         """Close every shard reader."""
         for reader in self._readers:
             reader.close()
 
 
-def _replay_shard_task(task: tuple) -> dict:
+def _replay_shard_task(
+    paths, start: int, end: int, machine,
+    want_profiles: bool, want_full: bool,
+) -> dict:
     """Pool worker: prefix-warmed replay of one shard's region range.
 
     Args:
-        task: ``(paths, start, end, machine, want_profiles, want_full
-            [, attempt, timeout])`` — ``paths`` is the shard chain
-            ``0..k`` (prefix warming), ``[start, end)`` the range whose
-            results are kept, ``machine`` a picklable
+        paths: The shard chain ``0..k`` (prefix warming).
+        start: First region (global index) whose results are kept.
+        end: One past the last kept region.
+        machine: Picklable evaluation
             :class:`~repro.config.MachineConfig`.
+        want_profiles: Compute the functional profiles.
+        want_full: Compute the detailed full run.
 
     Returns:
         ``{"profiles": [RegionProfile state, ...]}`` and/or
         ``{"full": FullRunResult state}`` restricted to ``[start, end)``.
     """
     from repro.core.pipeline import BarrierPointPipeline
-    from repro.experiments.common import _time_limit
-    from repro.faults import maybe_inject
 
-    (paths, start, end, machine, want_profiles, want_full, *rest) = task
-    attempt = rest[0] if rest else 0
-    timeout = rest[1] if len(rest) > 1 else None
-    label = f"shard[{start}:{end}]"
-    with _time_limit(timeout, label):
-        maybe_inject("runner.task", key=label, attempt=attempt)
-        chain = ShardChainReplay(list(paths))
-        chain.set_fault_attempt(attempt)
-        try:
-            pipe = BarrierPointPipeline(machine)
-            states: dict = {}
-            if want_profiles:
-                profiles = pipe.profile(chain)
-                states["profiles"] = [
-                    p.to_state() for p in profiles[start:end]
-                ]
-            if want_full:
-                full = pipe.full_run(chain)
-                state = full.to_state()
-                state["regions"] = state["regions"][start:end]
-                states["full"] = state
-        finally:
-            chain.close()
+    chain = ShardChainReplay(list(paths))
+    try:
+        pipe = BarrierPointPipeline(machine)
+        states: dict = {}
+        if want_profiles:
+            profiles = pipe.profile(chain)
+            states["profiles"] = [p.to_state() for p in profiles[start:end]]
+        if want_full:
+            state = pipe.full_run(chain).to_state()
+            state["regions"] = state["regions"][start:end]
+            states["full"] = state
+    finally:
+        chain.close()
     return states
 
 

@@ -30,6 +30,7 @@ def format_table(
             widths[i] = max(widths[i], len(cell))
 
     def fmt_line(cells: Sequence[str]) -> str:
+        """Left-justify ``cells`` to the column widths, two spaces apart."""
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
     lines = []

@@ -2,9 +2,10 @@
 
 Mirrors the pydocstyle/ruff "missing docstring" rules (D100-D104) with no
 third-party dependency, scoped — per the documentation policy — to
-``repro.experiments``, ``repro.store``, ``repro.sim``, ``repro.serve``,
-``repro.clustering`` and ``repro.core``.  CI additionally runs ruff's
-``D1`` rules over the same packages.
+``repro.experiments``, ``repro.store``, ``repro.sim``, ``repro.faults``,
+``repro.serve``, ``repro.clustering``, ``repro.core``, ``repro.trace`` and
+``repro.util``.  CI additionally runs ruff's ``D1`` rules over the same
+packages.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Packages under the documentation mandate.
-AUDITED = ("experiments", "store", "sim", "serve", "clustering", "core")
+AUDITED = (
+    "experiments", "store", "sim", "faults", "serve", "clustering", "core",
+    "trace", "util",
+)
 
 
 def _is_public(name: str) -> bool:

@@ -11,6 +11,7 @@ property.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -32,9 +33,11 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     active_plan,
+    current_task_attempt,
     install_plan,
     maybe_corrupt,
     maybe_inject,
+    task_attempt,
     uninstall_plan,
 )
 from repro.profiling.profiler import profiles_digest
@@ -168,6 +171,33 @@ class TestHooks:
         maybe_inject("store.put", key="k")  # partial_write never raises
         assert maybe_corrupt("store.put", "k", b"x" * 100) == b"x" * 25
         assert maybe_corrupt("store.get", "k", b"x" * 100) == b"x" * 100
+
+    def test_task_attempt_is_per_thread_and_nests(self):
+        """A task's attempt scope is invisible to other threads (the
+        service runs fan-outs on worker threads) and restores the outer
+        attempt on exit."""
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            with task_attempt(3):
+                inside.set()
+                release.wait(10)
+                seen.append(current_task_attempt())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert inside.wait(10)
+        assert current_task_attempt() == 0
+        with task_attempt(1):
+            with task_attempt(2):
+                assert current_task_attempt() == 2
+            assert current_task_attempt() == 1
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [3]
+        assert current_task_attempt() == 0
 
 
 def make_runner(store_dir, workers=2, **kwargs):
@@ -365,6 +395,7 @@ class TestRunJournal:
         journal.record_pass("k1", BENCH, 8, None, ("profiles", "full"))
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"event": "start"}\n["not", "an", "object"]\n')
+            handle.write('{"key": "k3", "kinds": ["full"]}\n')  # no event
             handle.write('{"event": "pass", "key": "k2", "ki')  # torn
         assert journal.completed_passes() == {"k1": {"profiles", "full"}}
 
@@ -518,6 +549,28 @@ class TestShardedReplayFaults:
             assert task.disposition == "completed"
             assert task.attempts == 2
             assert "InjectedFaultError" in task.errors[0]
+
+    def test_trace_read_fault_recovers_in_corpus_verify(self, tmp_path):
+        """The same one-shot trace.read rule recovers in the corpus
+        conformance sweep: the unsharded replay inside each verify task
+        reports the task's attempt too, so the retry reads cleanly."""
+        from repro.trace.corpus import TraceCorpus
+
+        corpus = TraceCorpus(ArtifactStore(root=tmp_path / "store"))
+        corpus.record_fuzz_range([1], num_threads=2, scale=SCALE)
+        clean = corpus.verify(backends=("inclusive",))
+
+        install_plan(FaultPlan.parse(
+            "trace.read:exception:max_attempts=1", seed=3
+        ))
+        report = RunReport()
+        verdicts = corpus.verify(
+            backends=("inclusive",), report=report,
+            retry=RetryPolicy(max_retries=2, **FAST),
+        )
+        assert verdicts == clean
+        assert [t.attempts for t in report.tasks] == [2]
+        assert "InjectedFaultError" in report.tasks[0].errors[0]
 
     def test_runner_task_fault_recovers_bit_identically(self, shards):
         """The runner.task site covers shard tasks exactly like

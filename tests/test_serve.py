@@ -127,12 +127,9 @@ def direct_payload_bytes(tmp_path, want_profiles=True) -> tuple[str, bytes]:
     validated payload bytes the serial CLI path persists.
     """
     root = tmp_path / "direct"
-    compute_pair((
-        BENCH, THREADS, SCALE, str(root),
-        want_profiles, not want_profiles, None,
-    ))
-    store = ArtifactStore(root=root)
     kind = "profiles" if want_profiles else "full"
+    compute_pair(BENCH, THREADS, SCALE, str(root), kinds=(kind,))
+    store = ArtifactStore(root=root)
     key = pair_key(SCALE, BENCH, THREADS, None)
     body = store.payload_bytes(kind, key)
     assert body is not None
@@ -300,9 +297,8 @@ class TestDrainAndResume:
         store_root = tmp_path / "served"
         first = JobSupervisor(store=ArtifactStore(root=store_root))
         record = first.submit(JobSpec.from_dict(SPEC))
-        compute_pair((
-            BENCH, THREADS, SCALE, str(store_root), True, False, None,
-        ))
+        compute_pair(BENCH, THREADS, SCALE, str(store_root),
+                     kinds=("profiles",))
         revived = JobSupervisor(
             store=ArtifactStore(root=store_root), resume=True
         )
