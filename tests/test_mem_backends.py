@@ -360,6 +360,60 @@ class TestComplexBackend:
         )
         assert c2c > 0 and classed == c2c
 
+    @pytest.mark.parametrize(
+        "case, digest",
+        [("drive-1s", "1dcfcff5b7d13e39"),
+         ("drive-2s", "edec07b28db469f9"),
+         ("drive-4+2", "420c44265344232c"),
+         ("biglittle-6core", "087922aa061f673a"),
+         ("epyc-4x8", "48ebc4207e310acc")],
+    )
+    def test_output_pinned(self, case, digest):
+        """Regression pin of the non-degenerate backend's exact output.
+
+        The ``drive-*`` cases digest the summed stalls plus a canonical
+        ``full_state`` (set contents in LRU order, dirty sets and
+        directory maps sorted, so the digest is independent of dict
+        insertion order across directory organisations) and check that
+        every transfer class the topology allows is exercised.  The
+        registry cases pin ``full_run_digest`` of a small workload.
+        """
+        import hashlib
+        import json
+
+        if not case.startswith("drive-"):
+            from repro.config import scaled
+            from repro.machines import get_machine
+            from repro.trace.corpus import full_run_digest
+            from repro.workloads import get_workload
+
+            config = scaled(get_machine(case))
+            workload = get_workload("npb-is", config.num_cores, scale=0.1)
+            assert full_run_digest(Machine(config).run_full(workload)) == digest
+            return
+        machine = {
+            "drive-1s": complex_machine(),
+            "drive-2s": complex_machine(num_sockets=2),
+            "drive-4+2": complex_machine(cores_per_complex=(4, 2)),
+        }[case]
+        h = ComplexHierarchy(machine)
+        stalls = drive(h)
+        sets, dirty, sharers, owner, counters = full_state(h)
+        canonical = [
+            stalls,
+            [list(s) for s in sets],
+            [sorted(d) for d in dirty],
+            sorted(sharers.items()),
+            sorted(owner.items()),
+            sorted(counters.items()),
+        ]
+        raw = json.dumps(canonical, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
+        c = h.snapshot()
+        assert c.intra_complex_transfers > 0
+        assert c.cross_complex_transfers > 0
+        assert (c.cross_socket_transfers > 0) == (machine.num_sockets > 1)
+
 
 class TestCounters:
     def test_access_counters_roundtrip_includes_prefetches(self):
