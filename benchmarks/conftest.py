@@ -7,6 +7,13 @@ runner is store-backed: baseline profiles and full runs persist under the
 artifact store (``.repro-store`` by default), so repeated benchmark
 sessions — and the ``repro`` CLI — share them instead of recomputing.
 
+The committed tables under ``benchmarks/results/`` are goldens.  A run
+with their configuration (scale 0.5, every benchmark) compares each
+regenerated table with its golden and fails with a unified diff when
+they differ; a missing golden is written, so deleting a file is how a
+deliberate model change regenerates it.  Any other configuration (a
+smoke scale, a workload subset) prints its tables and writes nothing.
+
 Environment knobs:
     REPRO_BENCH_SCALE       workload scale (default 0.5; 1.0 = the numbers
                             recorded in EXPERIMENTS.md)
@@ -19,6 +26,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import difflib
 import os
 import pathlib
 
@@ -43,12 +51,35 @@ def runner() -> ExperimentRunner:
 
 
 @pytest.fixture(scope="session")
-def record_table():
-    """Persist each regenerated table under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def record_table(runner):
+    """Check each regenerated table against its golden in benchmarks/results/."""
+    golden = (
+        runner.scale == 0.5 and tuple(runner.benchmarks) == WORKLOAD_NAMES
+    )
 
     def _record(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
+        if not golden:
+            return
+        path = RESULTS_DIR / f"{name}.txt"
+        fresh = text + "\n"
+        if not path.exists():
+            RESULTS_DIR.mkdir(exist_ok=True)
+            path.write_text(fresh)
+            return
+        committed = path.read_text()
+        if committed != fresh:
+            diff = "".join(difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                fresh.splitlines(keepends=True),
+                fromfile=f"results/{name}.txt (committed)",
+                tofile=f"results/{name}.txt (regenerated)",
+            ))
+            pytest.fail(
+                f"{name} differs from its golden; if the change is "
+                f"intended, delete results/{name}.txt and rerun to "
+                f"regenerate it\n{diff}",
+                pytrace=False,
+            )
 
     return _record

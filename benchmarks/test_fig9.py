@@ -1,6 +1,7 @@
 """Benchmark: regenerate Fig. 9 simulation speedups (paper: BarrierPoint, ISPASS 2014).
 
-Prints the regenerated table and records it under benchmarks/results/.
+Prints the regenerated table and checks it against its golden under
+benchmarks/results/ (see conftest.py).
 Timing measures the experiment's analysis cost on top of the shared,
 memoized profiling/simulation passes.
 """

@@ -2,7 +2,8 @@
 
 The offline environment lacks the ``wheel`` package, so PEP 517 editable
 installs fail; this shim lets ``pip install -e .`` use the legacy
-``setup.py develop`` path. All metadata lives in ``pyproject.toml``.
+``setup.py develop`` path. This file is the package's only metadata; there
+is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

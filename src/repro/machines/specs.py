@@ -89,7 +89,7 @@ MACHINE_SPECS: dict[str, dict] = {
     },
     "epyc-4x8": {
         "description": "EPYC-like chiplet part: 4 complexes of 8 cores, "
-                       "sliced L3 behind a distributed directory",
+                       "each with its own slice of the socket L3",
         "base": "table1-8core",
         "cores_per_socket": 32,
         "caches": {"l3": {"kb": 32768, "ways": 16, "latency": 34}},

@@ -14,7 +14,7 @@ from repro.mem.backends import (
 )
 from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.complexes import ComplexHierarchy
-from repro.mem.directory import Directory, DistributedDirectory
+from repro.mem.directory import Directory
 from repro.mem.dram import Dram
 from repro.mem.hierarchy import AccessCounters, MemoryHierarchy
 from repro.mem.noninclusive import NonInclusiveHierarchy
@@ -26,7 +26,6 @@ __all__ = [
     "CacheStats",
     "ComplexHierarchy",
     "Directory",
-    "DistributedDirectory",
     "Dram",
     "HIERARCHY_BACKENDS",
     "LATENCY_CLASSES",

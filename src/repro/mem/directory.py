@@ -6,15 +6,11 @@ state, if any.  Private caches evict silently, so sharer bits can be stale
 — exactly as in real sparse directories — which only costs spurious (cheap)
 invalidation messages, never correctness of the timing model.
 
-Two organisations share that per-line contract:
-
-* :class:`Directory` — one monolithic node, logically co-located with the
-  socket's shared L3 (the paper's flat machines).
-* :class:`DistributedDirectory` — address-interleaved **home nodes**, one
-  per core complex, as in CCX/chiplet parts where each complex's L3 slice
-  carries a directory slice.  State for a line lives only at its home, so
-  the ``complex`` backend's coherence walk goes through the same fabric
-  hops it charges latency for.
+One :class:`Directory` serves every hierarchy backend.  It is logically
+co-located with the shared L3 and charged no lookup latency of its own
+(directory access is folded into the L3 latency), so the ``complex``
+backend's per-complex L3 slices share it too: only actual line movement
+pays fabric hops.
 """
 
 from __future__ import annotations
@@ -97,83 +93,3 @@ class Directory:
         self._sharers.clear()
         self._owner.clear()
 
-
-class DistributedDirectory:
-    """Address-interleaved MSI directory over per-complex home nodes.
-
-    Lines are statically interleaved across ``num_homes`` nodes
-    (``home_of(line) = line % num_homes``), each an ordinary
-    :class:`Directory`.  The per-line API is identical to the monolithic
-    directory — every query/update is simply delegated to the line's home
-    — so callers that already speak :class:`Directory` work unchanged;
-    the split only matters to the backend that charges a fabric hop for
-    reaching a non-local home.
-    """
-
-    def __init__(self, num_cores: int, num_homes: int) -> None:
-        if num_homes <= 0:
-            raise ValueError(f"num_homes must be positive, got {num_homes}")
-        self.num_cores = num_cores
-        self.num_homes = num_homes
-        self.homes = tuple(
-            Directory(num_cores=num_cores) for _ in range(num_homes)
-        )
-
-    def home_of(self, line: int) -> int:
-        """Home-node index for ``line`` (static address interleaving)."""
-        return line % self.num_homes
-
-    @property
-    def stats(self) -> DirectoryStats:
-        """Aggregate coherence counters summed over all home nodes."""
-        total = DirectoryStats()
-        for home in self.homes:
-            total.invalidations_sent += home.stats.invalidations_sent
-            total.downgrades += home.stats.downgrades
-            total.cache_to_cache += home.stats.cache_to_cache
-        return total
-
-    @property
-    def _sharers(self) -> dict[int, int]:
-        """Merged line → sharer-mask view (tests/debugging; copies)."""
-        merged: dict[int, int] = {}
-        for home in self.homes:
-            merged.update(home._sharers)
-        return merged
-
-    @property
-    def _owner(self) -> dict[int, int]:
-        """Merged line → M-owner view (tests/debugging; copies)."""
-        merged: dict[int, int] = {}
-        for home in self.homes:
-            merged.update(home._owner)
-        return merged
-
-    def sharers(self, line: int) -> int:
-        """Bitmask of cores that may hold ``line``."""
-        return self.homes[line % self.num_homes].sharers(line)
-
-    def owner(self, line: int) -> int:
-        """Core owning ``line`` in M state, or -1."""
-        return self.homes[line % self.num_homes].owner(line)
-
-    def note_read(self, line: int, core: int) -> int:
-        """Record a read at the line's home; returns previous M owner."""
-        return self.homes[line % self.num_homes].note_read(line, core)
-
-    def note_write(self, line: int, core: int) -> int:
-        """Record a write at the line's home; returns invalidation mask."""
-        return self.homes[line % self.num_homes].note_write(line, core)
-
-    def drop(self, line: int) -> None:
-        """Forget a line entirely (e.g. after last-level eviction)."""
-        self.homes[line % self.num_homes].drop(line)
-
-    def is_modified(self, line: int) -> bool:
-        """True if some core owns the line in M state."""
-        return self.homes[line % self.num_homes].is_modified(line)
-
-    def flush(self) -> None:
-        """Drop all directory state at every home (counters preserved)."""
-        for home in self.homes:
-            home.flush()

@@ -7,7 +7,14 @@ socket's private caches, which is what lets the directory live logically at
 the L3 and keeps coherence state reconstructible by data replay alone (the
 property the paper's warmup scheme depends on).
 
-Dirtiness is tracked at the L3/directory level (private caches are modeled
+The loop is written over topology *domains* (:mod:`repro.mem.topology`):
+each domain owns one L3, and cross-domain transfers are charged by
+latency class.  The flat backends use the socket view, where each domain
+is a whole socket and the classes reduce to the local/remote split of
+Table I; the ``complex`` backend swaps in the complex view (one L3 slice
+per core complex) through the :attr:`MemoryHierarchy.topology_view` seam.
+
+Dirtiness is tracked at the directory owner (private caches are modeled
 write-through to L3 for accounting); store *timing* is still charged at the
 core via the interval model, and DRAM writeback bandwidth is charged when a
 modified line leaves an L3 or is downgraded by a remote reader.
@@ -22,8 +29,10 @@ attribute lookups.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.config import MachineConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.mem.cache import SetAssocCache
 from repro.mem.directory import Directory
 from repro.mem.dram import Dram
@@ -165,7 +174,7 @@ class MemoryHierarchy:
     """Caches + directory + DRAM for one simulated machine.
 
     Backend variants (see :mod:`repro.mem.backends`) subclass this and
-    flip the two feature seams below; with both at their defaults every
+    flip the feature seams below; with every seam at its default each
     subclass is behaviorally identical to this reference hierarchy, which
     is what the backend parity tests assert.
     """
@@ -174,7 +183,12 @@ class MemoryHierarchy:
     #: list-based variant for parity tests and perf baselines.
     cache_cls = SetAssocCache
 
-    #: Whether an L3 eviction back-invalidates the socket's private caches
+    #: Grouping of cores into L3-owning domains.  The socket view (one L3
+    #: per socket) is the paper's machine; the ``complex`` backend swaps in
+    #: :meth:`Topology.complex_view` for one L3 slice per core complex.
+    topology_view = staticmethod(Topology.socket_view)
+
+    #: Whether an L3 eviction back-invalidates the domain's private caches
     #: (the paper's inclusive hierarchy).  ``False`` = non-inclusive: the
     #: victim drops from the L3 only and the directory keeps its entry.
     inclusive_l3 = True
@@ -188,22 +202,35 @@ class MemoryHierarchy:
         self.machine = machine
         n_cores = machine.num_cores
         cache_cls = self.cache_cls
+        topo = self.topology_view(machine)
+        self.topology = topo
+        # Each domain owns an equal slice of its socket's L3 capacity;
+        # CacheConfig validation keeps the slice geometry honest
+        # (power-of-two sets).
+        per_socket = topo.num_domains // machine.num_sockets
+        if machine.l3.size_bytes % per_socket != 0:
+            raise ConfigError(
+                f"socket L3 of {machine.l3.size_bytes} bytes does not split "
+                f"into {per_socket} equal complex slices"
+            )
+        l3_config = replace(
+            machine.l3, size_bytes=machine.l3.size_bytes // per_socket
+        )
         self.l1i = [cache_cls(machine.l1i) for _ in range(n_cores)]
         self.l1d = [cache_cls(machine.l1d) for _ in range(n_cores)]
         self.l2 = [cache_cls(machine.l2) for _ in range(n_cores)]
-        self.l3 = [cache_cls(machine.l3) for _ in range(machine.num_sockets)]
+        self.l3 = [cache_cls(l3_config) for _ in range(topo.num_domains)]
         self.directory = Directory(num_cores=n_cores)
         self.dram = Dram(machine)
-        # The flat backends group cores by socket regardless of any finer
-        # complex structure: one shared L3 per socket is the paper's
-        # machine, and the socket view reproduces the historical
-        # core-arithmetic tables exactly (asserted by the parity battery).
-        topo = Topology.socket_view(machine)
-        self.topology = topo
-        self._socket_of = list(topo.domain_of)
-        self._cores_of_socket = [list(cores) for cores in topo.domains]
-        self._socket_mask = list(topo.domain_mask)
-        self._num_sockets = machine.num_sockets
+        self._domain_of = list(topo.domain_of)
+        self._domain_mask = list(topo.domain_mask)
+        self._domain_socket = list(topo.domain_socket)
+        self._hop_extra = topo.hop_extra_table()
+        # Per-socket core grouping, read by the seed reference hierarchy
+        # (which indexes its L3s by socket and so runs the socket view).
+        sockets = Topology.socket_view(machine)
+        self._socket_of = list(sockets.domain_of)
+        self._socket_mask = list(sockets.domain_mask)
         self._dram_reads = self.dram.stats.reads_per_socket
         self._dram_wbs = self.dram.stats.writebacks_per_socket
         self._loads = 0
@@ -216,44 +243,41 @@ class MemoryHierarchy:
         self._prefetches = 0
         # Cache-to-cache transfers split by latency class.  The socket
         # view has no cross-complex hops, so the middle class stays zero
-        # here; the ``complex`` backend populates all three.
+        # on the flat backends.
         self._intra_c2c = 0
         self._xcomplex_c2c = 0
         self._xsocket_c2c = 0
-        # Per-core hot-path context: everything ``access_block`` needs,
-        # bound once (caches are flushed in place, never replaced, so the
-        # bindings stay valid for the hierarchy's lifetime).
-        remote_lat = (
-            machine.l3.latency_cycles + machine.remote_socket_extra_cycles
-        )
         # Inclusion-purge context, indexed by core: the set tables and
-        # stats of the private caches the inlined L3 eviction must probe.
+        # stats of the private caches an invalidation must probe.
         self._purge = [
             (
                 self.l1d[core]._sets, self.l1d[core]._set_mask,
-                self.l1d[core].stats, self.l1d[core]._dirty,
+                self.l1d[core].stats,
                 self.l2[core]._sets, self.l2[core]._set_mask,
-                self.l2[core].stats, self.l2[core]._dirty,
+                self.l2[core].stats,
             )
             for core in range(n_cores)
         ]
+        # Per-core hot-path context: everything ``access_block`` needs,
+        # bound once (caches are flushed in place, never replaced, so the
+        # bindings stay valid for the hierarchy's lifetime).
         self._ctx = []
         for core in range(n_cores):
-            socket = self._socket_of[core]
+            domain = self._domain_of[core]
             l1 = self.l1d[core]
             l2 = self.l2[core]
-            l3 = self.l3[socket]
+            l3 = self.l3[domain]
             self._ctx.append((
-                socket,
+                domain, self._domain_socket[domain],
                 l1.stats, l1._sets, l1._set_mask, l1._assoc,
                 l2.stats, l2._sets, l2._set_mask, l2._assoc,
-                l3.stats, l3._sets, l3._set_mask, l3._assoc, l3._dirty,
+                l3.stats, l3._sets, l3._set_mask, l3._assoc,
                 l2.config.latency_cycles,
                 l3.config.latency_cycles,
                 self.dram.latency_cycles,
-                remote_lat,
+                self._hop_extra[domain],
                 1 << core,
-                self._socket_mask[socket],
+                self._domain_mask[domain],
             ))
 
     # ------------------------------------------------------------------
@@ -283,76 +307,77 @@ class MemoryHierarchy:
     # Internal helpers
     # ------------------------------------------------------------------
 
-    def _evict_l3_victim(self, socket: int, s3: dict) -> None:
+    def _evict_l3_victim(self, domain: int, s3: dict) -> None:
         """Evict the LRU victim of one L3 set (off-hot-path form).
 
-        The shared, readable counterpart of the victim handling that
+        The readable counterpart of the victim handling that
         ``access_block`` keeps inlined for speed (see the "keep in sync"
-        note there): dirty-set bookkeeping, then — on the inclusive
-        backend — the local-owner writeback and the inclusion purge of
-        the socket's private caches.  Non-demand fill paths (the
+        note there): on the inclusive backends, the domain-local owner
+        writes back through the domain's socket and the victim is purged
+        from the domain's private caches (sharers outside the domain keep
+        their copies and directory bits).  Non-demand fill paths (the
         prefetching backend today) must call this instead of growing
-        further hand copies.  L3-level dirtiness is tracked at the
-        directory owner in this hierarchy (the cache ``_dirty`` side-set
-        stays empty on the fast paths), so a non-inclusive victim drops
-        with no DRAM charge here — its writeback is charged later, at
-        downgrade.
+        further hand copies.  A non-inclusive victim drops with no DRAM
+        charge here — its writeback is charged later, at downgrade.
 
         Args:
-            socket: The socket owning the L3.
+            domain: The topology domain owning the L3.
             s3: The set dict (``l3._sets[index]``) about to be filled.
         """
-        l3 = self.l3[socket]
         vline = next(iter(s3))
         del s3[vline]
-        l3.stats.evictions += 1
-        if vline in l3._dirty:  # defensive: empty on the fast paths
-            l3._dirty.discard(vline)
-            l3.stats.dirty_evictions += 1
+        self.l3[domain].stats.evictions += 1
         if not self.inclusive_l3:
             return
         owner = self.directory._owner
         sharers = self.directory._sharers
         vowner = owner.get(vline, -1)
-        if vowner >= 0 and self._socket_of[vowner] == socket:
-            self._dram_wbs[socket] += 1
+        if vowner >= 0 and self._domain_of[vowner] == domain:
+            self._dram_wbs[self._domain_socket[domain]] += 1
             self._writebacks += 1
             del owner[vline]
         vmask = sharers.get(vline, 0)
         if vmask:
-            socket_mask = self._socket_mask[socket]
-            local = vmask & socket_mask
+            domain_mask = self._domain_mask[domain]
+            local = vmask & domain_mask
             if local:
-                self._invalidate_remote(vline, local, socket)
-            rest = vmask & ~socket_mask
+                self._invalidate(vline, local, self._hop_extra[domain])
+            rest = vmask & ~domain_mask
             if rest:
                 sharers[vline] = rest
             else:
                 del sharers[vline]
 
-    def _invalidate_remote(self, line: int, mask: int, my_socket: int) -> bool:
-        """Remove ``line`` from all cores in ``mask``; True if any was remote."""
-        remote = False
+    def _invalidate(self, line: int, mask: int, hop_row: list[int]) -> int:
+        """Purge ``line`` from the private caches of every core in ``mask``.
+
+        Args:
+            line: The line to invalidate.
+            mask: Bitmask of the cores to purge.
+            hop_row: The requesting domain's row of
+                :meth:`Topology.hop_extra_table`.
+
+        Returns:
+            The worst extra hop cycles among the invalidated cores (0 when
+            every one shares the requester's domain).
+        """
+        worst = 0
         purge = self._purge
-        socket_of = self._socket_of
+        domain_of = self._domain_of
         miss = _MISS
         while mask:
             low = mask & -mask
             mask ^= low
             core = low.bit_length() - 1
-            (p1_sets, p1_mask, p1_stats, p1_dirty,
-             p2_sets, p2_mask, p2_stats, p2_dirty) = purge[core]
-            s = p1_sets[line & p1_mask]
-            if s.pop(line, miss) is not miss:
-                p1_dirty.discard(line)
+            p1_sets, p1_mask, p1_stats, p2_sets, p2_mask, p2_stats = purge[core]
+            if p1_sets[line & p1_mask].pop(line, miss) is not miss:
                 p1_stats.invalidations += 1
-            s = p2_sets[line & p2_mask]
-            if s.pop(line, miss) is not miss:
-                p2_dirty.discard(line)
+            if p2_sets[line & p2_mask].pop(line, miss) is not miss:
                 p2_stats.invalidations += 1
-            if socket_of[core] != my_socket:
-                remote = True
-        return remote
+            hop = hop_row[domain_of[core]]
+            if hop > worst:
+                worst = hop
+        return worst
 
     # ------------------------------------------------------------------
     # Access paths
@@ -369,36 +394,40 @@ class MemoryHierarchy:
         returned stalls are the sum of beyond-L1 latencies divided by
         the block's memory-level parallelism (interval-model style); store
         latencies are further scaled by the store-buffer fraction.
+        Cross-core transfers pay the extra cycles of their hop's latency
+        class and are counted per class.
         """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        (socket,
+        (domain, socket,
          l1_stats, l1_sets, l1_mask, l1_assoc,
          l2_stats, l2_sets, l2_mask, l2_assoc,
-         l3_stats, l3_sets, l3_mask, l3_assoc, l3_dirty,
-         l2_lat, l3_lat, dram_lat, remote_lat, my_bit,
-         socket_mask) = self._ctx[core]
+         l3_stats, l3_sets, l3_mask, l3_assoc,
+         l2_lat, l3_lat, dram_lat, hop_row, my_bit,
+         domain_mask) = self._ctx[core]
         directory = self.directory
         dir_sharers = directory._sharers
         dir_owner = directory._owner
         sharers_get = dir_sharers.get
         owner_get = dir_owner.get
         dir_stats = directory.stats
-        num_sockets = self._num_sockets
+        l3_caches = self.l3
+        num_domains = len(l3_caches)
+        domain_of = self._domain_of
+        domain_socket = self._domain_socket
         dram_reads = self._dram_reads
         dram_wbs = self._dram_wbs
-        socket_of = self._socket_of
+        invalidate = self._invalidate
         purge = self._purge
-        l3_caches = self.l3
         miss = _MISS
         inclusive = self.inclusive_l3
         pf_degree = self.prefetch_degree
 
         loads = stores = l1d_misses = l2_misses = c2c = writebacks = 0
-        intra_c2c = xsocket_c2c = 0
+        intra_c2c = xcomplex_c2c = xsocket_c2c = 0
         l1_hits = l1_missc = l1_evic = 0
         l2_hits = l2_missc = l2_evic = 0
-        l3_hits = l3_missc = l3_evic = l3_dirty_evic = 0
+        l3_hits = l3_missc = l3_evic = 0
         invals_sent = downgrades = c2c_dir = 0
         stall = 0.0
 
@@ -414,27 +443,31 @@ class MemoryHierarchy:
                 if prev_owner != core:
                     mask = sharers_get(line, 0) & ~my_bit
                     if mask or prev_owner >= 0:
+                        worst_hop = 0
                         if mask:
                             invals_sent += mask.bit_count()
-                            remote = self._invalidate_remote(line, mask, socket)
-                        else:
-                            remote = False
+                            worst_hop = invalidate(line, mask, hop_row)
                         if prev_owner >= 0:
                             # Remote M copy: transfer + writeback on downgrade.
-                            prev_socket = socket_of[prev_owner]
+                            prev_domain = domain_of[prev_owner]
+                            prev_socket = domain_socket[prev_domain]
                             dram_wbs[prev_socket] += 1
                             writebacks += 1
-                            remote = remote or prev_socket != socket
+                            hop = hop_row[prev_domain]
+                            if hop > worst_hop:
+                                worst_hop = hop
                             c2c += 1
-                            if prev_socket != socket:
-                                xsocket_c2c += 1
-                            else:
+                            if prev_domain == domain:
                                 intra_c2c += 1
-                        if num_sockets > 1:
-                            for sk in range(num_sockets):
-                                if sk != socket:
-                                    l3_caches[sk].remove(line)
-                        extra = remote_lat if remote else l3_lat
+                            elif prev_socket == socket:
+                                xcomplex_c2c += 1
+                            else:
+                                xsocket_c2c += 1
+                        if num_domains > 1:
+                            for d in range(num_domains):
+                                if d != domain:
+                                    l3_caches[d].remove(line)
+                        extra = l3_lat + worst_hop
                     dir_sharers[line] = my_bit
                     dir_owner[line] = core
             else:
@@ -460,7 +493,7 @@ class MemoryHierarchy:
             else:
                 l2_missc += 1
                 l2_misses += 1
-                # L3 probe.
+                # L3 probe (my domain's L3 only).
                 s3 = l3_sets[line & l3_mask]
                 if s3.pop(line, miss) is not miss:
                     s3[line] = None
@@ -470,15 +503,19 @@ class MemoryHierarchy:
                     l3_missc += 1
                     owner = owner_get(line, -1)
                     if owner >= 0 and owner != core:
-                        # Dirty in a remote private hierarchy: cache-to-cache
+                        # Dirty in another private hierarchy: cache-to-cache
                         # transfer plus MSI downgrade writeback.
-                        owner_socket = socket_of[owner]
-                        if owner_socket != socket:
-                            extra += remote_lat
-                            xsocket_c2c += 1
-                        else:
+                        owner_domain = domain_of[owner]
+                        owner_socket = domain_socket[owner_domain]
+                        if owner_domain == domain:
                             extra += l3_lat + l2_lat
                             intra_c2c += 1
+                        else:
+                            extra += l3_lat + hop_row[owner_domain]
+                            if owner_socket == socket:
+                                xcomplex_c2c += 1
+                            else:
+                                xsocket_c2c += 1
                         if not w:
                             del dir_owner[line]
                             downgrades += 1
@@ -493,48 +530,42 @@ class MemoryHierarchy:
                     # Non-inclusive backends drop the victim from the L3
                     # alone: private copies and directory state survive,
                     # and — since dirtiness is tracked at the directory
-                    # owner, not in the L3 ``_dirty`` side-set — no DRAM
-                    # writeback is due here (it is charged at downgrade).
+                    # owner — no DRAM writeback is due here (it is charged
+                    # at downgrade).  NOTE: this victim block is the
+                    # hot-path twin of _evict_l3_victim, and its bit-scan
+                    # purge an inline copy of _invalidate's body (minus the
+                    # hop tracking, which an eviction does not charge) —
+                    # keep each pair in sync.
                     if len(s3) >= l3_assoc:
                         vline = next(iter(s3))
                         del s3[vline]
-                        if vline in l3_dirty:
-                            l3_dirty.discard(vline)
-                            l3_dirty_evic += 1
                         l3_evic += 1
                         if inclusive:
                             vowner = owner_get(vline, -1)
-                            if vowner >= 0 and socket_of[vowner] == socket:
+                            if vowner >= 0 and domain_of[vowner] == domain:
                                 dram_wbs[socket] += 1
                                 writebacks += 1
                                 del dir_owner[vline]
-                            # Inclusion: purge the victim from this socket's
+                            # Inclusion: purge the victim from this domain's
                             # private caches.  The directory sharer mask tells
                             # us which cores can possibly hold it, so streaming
                             # victims (one sharer) cost one probe, not 2*cores.
-                            # NOTE: this bit-scan purge is a deliberate inline
-                            # copy of _invalidate_remote's body (minus the
-                            # remote-socket test), and this whole victim block
-                            # is the hot-path twin of _evict_l3_victim — keep
-                            # all three in sync.
                             vmask = sharers_get(vline, 0)
                             if vmask:
-                                local = vmask & socket_mask
+                                local = vmask & domain_mask
                                 while local:
                                     low = local & -local
                                     local ^= low
-                                    (p1_sets, p1_mask, p1_stats, p1_dirty,
-                                     p2_sets, p2_mask, p2_stats,
-                                     p2_dirty) = purge[low.bit_length() - 1]
-                                    ps = p1_sets[vline & p1_mask]
-                                    if ps.pop(vline, miss) is not miss:
-                                        p1_dirty.discard(vline)
+                                    (p1_sets, p1_mask, p1_stats, p2_sets,
+                                     p2_mask, p2_stats) = purge[
+                                        low.bit_length() - 1]
+                                    if p1_sets[vline & p1_mask].pop(
+                                            vline, miss) is not miss:
                                         p1_stats.invalidations += 1
-                                    ps = p2_sets[vline & p2_mask]
-                                    if ps.pop(vline, miss) is not miss:
-                                        p2_dirty.discard(vline)
+                                    if p2_sets[vline & p2_mask].pop(
+                                            vline, miss) is not miss:
                                         p2_stats.invalidations += 1
-                                rest = vmask & ~socket_mask
+                                rest = vmask & ~domain_mask
                                 if rest:
                                     dir_sharers[vline] = rest
                                 else:
@@ -573,6 +604,7 @@ class MemoryHierarchy:
         self._c2c += c2c
         self._writebacks += writebacks
         self._intra_c2c += intra_c2c
+        self._xcomplex_c2c += xcomplex_c2c
         self._xsocket_c2c += xsocket_c2c
         l1_stats.hits += l1_hits
         l1_stats.misses += l1_missc
@@ -583,7 +615,6 @@ class MemoryHierarchy:
         l3_stats.hits += l3_hits
         l3_stats.misses += l3_missc
         l3_stats.evictions += l3_evic
-        l3_stats.dirty_evictions += l3_dirty_evic
         dir_stats.invalidations_sent += invals_sent
         dir_stats.downgrades += downgrades
         dir_stats.cache_to_cache += c2c_dir

@@ -2,7 +2,7 @@
 
 A classic tagged next-line prefetcher at the L2: every demand L2 miss on
 line ``L`` issues prefetches for ``L+1 .. L+degree`` into the core's L2
-(and the socket's shared L3, keeping inclusion intact).  Prefetches are
+(and the core's shared L3, keeping inclusion intact).  Prefetches are
 modeled as timing-free — their latency is assumed hidden behind the
 triggering demand miss — but they are *not* free in the memory system:
 
@@ -49,9 +49,10 @@ class NextLinePrefetchHierarchy(MemoryHierarchy):
         Runs off the hot path (only on L2 misses of this backend), so it
         favors clarity over the inlined style of ``access_block``.
         """
-        socket = self._socket_of[core]
+        domain = self._domain_of[core]
+        socket = self._domain_socket[domain]
         l2 = self.l2[core]
-        l3 = self.l3[socket]
+        l3 = self.l3[domain]
         l2_sets, l2_mask, l2_assoc = l2._sets, l2._set_mask, l2._assoc
         l3_sets, l3_mask, l3_assoc = l3._sets, l3._set_mask, l3._assoc
         owner = self.directory._owner
@@ -74,7 +75,7 @@ class NextLinePrefetchHierarchy(MemoryHierarchy):
                 # owner writeback and all).
                 self._dram_reads[socket] += 1
                 if len(s3) >= l3_assoc:
-                    self._evict_l3_victim(socket, s3)
+                    self._evict_l3_victim(domain, s3)
                 s3[pline] = None
             if len(s2) >= l2_assoc:
                 old = next(iter(s2))

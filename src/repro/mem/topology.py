@@ -11,9 +11,11 @@ units that own a last-level-cache structure:
   they model one shared L3 per socket regardless of any finer complex
   structure the machine declares.
 * :meth:`Topology.complex_view` — one domain per core complex (CCX).  The
-  ``complex`` backend consumes this: each domain owns an L3 slice and a
-  directory home node, and cross-domain transfers are charged by latency
-  class.
+  ``complex`` backend consumes this: each domain owns an L3 slice, and
+  cross-domain transfers are charged by latency class.
+
+The hierarchy's one access loop is written over domains, so the view is
+all that distinguishes the ``complex`` backend from the inclusive one.
 
 Every hop between two domains falls into one of three **latency classes**
 (:data:`LATENCY_CLASSES`): intra-complex (free beyond the base L3

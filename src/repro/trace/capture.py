@@ -49,7 +49,7 @@ import pathlib
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -150,14 +150,46 @@ def record_trace(workload, path: str | os.PathLike) -> pathlib.Path:
     Returns:
         The written path.
     """
+    return _write_rpt(
+        path,
+        _meta_from_workload(workload),
+        (
+            (trace.region_index, _encode_region(trace))
+            for trace in workload.iter_regions()
+        ),
+    )
+
+
+def _write_rpt(
+    path: str | os.PathLike,
+    meta: dict,
+    chunks: Iterable[tuple[int, bytes]],
+) -> pathlib.Path:
+    """Write one ``.rpt`` file: header, CRC-chained chunks, footer.
+
+    The one writer of the format, shared by :func:`record_trace` and the
+    shard splitter.  Writes via a temporary file and an atomic rename;
+    on any error (including one raised while ``chunks`` is consumed) the
+    temporary file is removed and the destination is left untouched.
+
+    Args:
+        path: Destination file path (parent directories are created).
+        meta: The metadata dict, serialized as canonical JSON.
+        chunks: ``(region_index, payload)`` pairs in file order; consumed
+            lazily, so a streaming producer keeps peak memory at one
+            payload.
+
+    Returns:
+        The written path.
+    """
     import tempfile
 
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = json.dumps(
-        _meta_from_workload(workload), sort_keys=True, separators=(",", ":")
+    meta_raw = json.dumps(
+        meta, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    # mkstemp (not a fixed "<out>.tmp") so concurrent recorders to the
+    # mkstemp (not a fixed "<out>.tmp") so concurrent writers to the
     # same destination cannot interleave writes or unlink each other's
     # in-flight file; last os.replace wins with a complete trace.
     fd, tmp = tempfile.mkstemp(
@@ -171,14 +203,12 @@ def record_trace(workload, path: str | os.PathLike) -> pathlib.Path:
                 crc = _crc32(data, crc)
                 out.write(data)
 
-            emit(_HEAD_FIXED.pack(MAGIC, FORMAT_VERSION, len(meta)))
-            emit(meta)
-            emit(_CRC.pack(_crc32(meta)))
-            for trace in workload.iter_regions():
-                payload = _encode_region(trace)
+            emit(_HEAD_FIXED.pack(MAGIC, FORMAT_VERSION, len(meta_raw)))
+            emit(meta_raw)
+            emit(_CRC.pack(_crc32(meta_raw)))
+            for region_index, payload in chunks:
                 emit(_CHUNK_HEAD.pack(
-                    _CHUNK_TAG, trace.region_index, len(payload),
-                    _crc32(payload),
+                    _CHUNK_TAG, region_index, len(payload), _crc32(payload)
                 ))
                 emit(payload)
             out.write(_END_TAG + _CRC.pack(crc))

@@ -31,28 +31,15 @@ per-task timeouts, pool respawn, serial fallback, and the ``runner.task``
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.errors import ConfigError, TraceFormatError, WorkloadError
-from repro.trace.capture import (
-    FORMAT_VERSION,
-    MAGIC,
-    TraceReader,
-    _CHUNK_HEAD,
-    _CHUNK_TAG,
-    _CRC,
-    _END_TAG,
-    _HEAD_FIXED,
-    _crc32,
-    trace_fingerprint,
-)
+from repro.errors import ConfigError, TraceFormatError
+from repro.trace.capture import TraceReader, _write_rpt, trace_fingerprint
 from repro.workloads.base import PhaseInstance, Workload
-from repro.workloads.replay import decode_block_execs
+from repro.workloads.replay import decode_block_execs, index_blocks
 
 #: Metadata key carrying a shard's provenance block.
 SHARD_META_KEY = "shard"
@@ -187,46 +174,6 @@ def shard_provenance(path: str | os.PathLike) -> dict | None:
     return TraceReader(path).meta.get(SHARD_META_KEY)
 
 
-def _write_shard(
-    reader: TraceReader, meta: dict, start: int, end: int,
-    path: pathlib.Path,
-) -> pathlib.Path:
-    """Stream one shard file: sliced metadata + byte-exact chunk copies."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    meta_raw = json.dumps(
-        meta, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    crc = 0
-    try:
-        with os.fdopen(fd, "wb") as out:
-            def emit(data: bytes) -> None:
-                nonlocal crc
-                crc = _crc32(data, crc)
-                out.write(data)
-
-            emit(_HEAD_FIXED.pack(MAGIC, FORMAT_VERSION, len(meta_raw)))
-            emit(meta_raw)
-            emit(_CRC.pack(_crc32(meta_raw)))
-            for local, parent_region in enumerate(range(start, end)):
-                payload = reader._read_payload(parent_region)
-                emit(_CHUNK_HEAD.pack(
-                    _CHUNK_TAG, local, len(payload), _crc32(payload)
-                ))
-                emit(payload)
-            out.write(_END_TAG + _CRC.pack(crc))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def split_trace(
     path: str | os.PathLike,
     out_dir: str | os.PathLike,
@@ -281,7 +228,12 @@ def split_trace(
             "count": plan.num_shards,
         }
         name = f"{stem}.shard-{index}-of-{plan.num_shards}.rpt"
-        written.append(_write_shard(reader, meta, start, end, out_dir / name))
+        # Chunk payloads are byte-exact copies of the parent's.
+        chunks = (
+            (local, reader._read_payload(parent_region))
+            for local, parent_region in enumerate(range(start, end))
+        )
+        written.append(_write_rpt(out_dir / name, meta, chunks))
     return written
 
 
@@ -393,19 +345,10 @@ class ShardChainReplay(Workload):
                     f"{str(reader.path)!r} declares a different block "
                     f"table than {str(first.path)!r}"
                 )
-        for block in first.blocks:
-            if block.name in self._blocks:
-                raise WorkloadError(
-                    f"shard {str(first.path)!r} declares block "
-                    f"{block.name!r} twice"
-                )
-            self._blocks[block.name] = block
-        by_id = sorted(self._blocks.values(), key=lambda b: b.bb_id)
-        if [b.bb_id for b in by_id] != list(range(len(by_id))):
-            raise WorkloadError(
-                f"shard {str(first.path)!r} block ids are not dense"
-            )
-        self._block_table = tuple(by_id)
+        by_name, self._block_table = index_blocks(
+            first.blocks, f"shard {str(first.path)!r}"
+        )
+        self._blocks.update(by_name)
 
     def _build_thread(
         self, inst: PhaseInstance, region_index: int, thread_id: int

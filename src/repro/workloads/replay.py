@@ -26,6 +26,38 @@ from repro.trace.program import BasicBlock, BlockExec
 from repro.workloads.base import PhaseInstance, Workload
 
 
+def index_blocks(
+    blocks, label: str
+) -> tuple[dict[str, BasicBlock], tuple[BasicBlock, ...]]:
+    """Index a trace's declared blocks by name and by dense id.
+
+    The one block-table builder of the replay workloads: it rejects a
+    block name declared twice and ids that do not run ``0..n-1``.
+
+    Args:
+        blocks: The declared blocks (``TraceReader.blocks``).
+        label: How errors name the source, e.g. ``"trace '/x.rpt'"``.
+
+    Returns:
+        ``(by_name, by_id)``: a name → block dict and the block table
+        indexed by ``bb_id``.
+
+    Raises:
+        WorkloadError: On a duplicate name or non-dense ids.
+    """
+    by_name: dict[str, BasicBlock] = {}
+    for block in blocks:
+        if block.name in by_name:
+            raise WorkloadError(
+                f"{label} declares block {block.name!r} twice"
+            )
+        by_name[block.name] = block
+    by_id = sorted(by_name.values(), key=lambda b: b.bb_id)
+    if [b.bb_id for b in by_id] != list(range(len(by_id))):
+        raise WorkloadError(f"{label} block ids are not dense")
+    return by_name, tuple(by_id)
+
+
 def decode_block_execs(
     reader: TraceReader,
     region_index: int,
@@ -124,19 +156,10 @@ class ReplayWorkload(Workload):
         meta = self._reader.meta
         for phase, iteration, param in meta["schedule"]:
             self._schedule.append(PhaseInstance(phase, iteration, param))
-        for block in self._reader.blocks:
-            if block.name in self._blocks:
-                raise WorkloadError(
-                    f"trace {str(self.trace_path)!r} declares block "
-                    f"{block.name!r} twice"
-                )
-            self._blocks[block.name] = block
-        by_id = sorted(self._blocks.values(), key=lambda b: b.bb_id)
-        if [b.bb_id for b in by_id] != list(range(len(by_id))):
-            raise WorkloadError(
-                f"trace {str(self.trace_path)!r} block ids are not dense"
-            )
-        self._block_table: tuple[BasicBlock, ...] = tuple(by_id)
+        by_name, self._block_table = index_blocks(
+            self._reader.blocks, f"trace {str(self.trace_path)!r}"
+        )
+        self._blocks.update(by_name)
 
     def _build_thread(
         self, inst: PhaseInstance, region_index: int, thread_id: int

@@ -1,17 +1,15 @@
 """Property suite for MSI directory bookkeeping (repro.mem.directory).
 
-Standalone of any hierarchy: drives :class:`Directory` and
-:class:`DistributedDirectory` directly through their per-line API and
-checks the sharer-mask/owner algebra — idempotent membership, upgrade
-semantics on a single sharer, eviction of the last sharer — plus the
-distributed organisation's delegation and stats aggregation.
+Standalone of any hierarchy: drives :class:`Directory` directly through
+its per-line API and checks the sharer-mask/owner algebra — idempotent
+membership, upgrade semantics on a single sharer, eviction of the last
+sharer.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-import pytest
 
-from repro.mem.directory import Directory, DirectoryStats, DistributedDirectory
+from repro.mem.directory import Directory
 
 CORES = 8
 lines = st.integers(min_value=0, max_value=255)
@@ -20,24 +18,6 @@ cores = st.integers(min_value=0, max_value=CORES - 1)
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
-
-
-@st.composite
-def event_streams(draw):
-    """Random (op, line, core) streams over a small line/core space."""
-    ops = st.sampled_from(["read", "write", "drop"])
-    n = draw(st.integers(min_value=0, max_value=60))
-    return [(draw(ops), draw(lines), draw(cores)) for _ in range(n)]
-
-
-def apply_stream(directory, stream):
-    for op, line, core in stream:
-        if op == "read":
-            directory.note_read(line, core)
-        elif op == "write":
-            directory.note_write(line, core)
-        else:
-            directory.drop(line)
 
 
 class TestSharerMaskAlgebra:
@@ -138,56 +118,3 @@ class TestUpgradeAndDowngrade:
         assert d.note_read(line, other) == -1
         assert d.stats.cache_to_cache == 0
 
-
-class TestDistributedDirectory:
-    @given(stream=event_streams(),
-           num_homes=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=50)
-    def test_matches_monolithic_directory(self, stream, num_homes):
-        """Per-line observables are identical to one monolithic directory
-        regardless of how many homes the lines interleave across."""
-        mono = Directory(num_cores=CORES)
-        dist = DistributedDirectory(num_cores=CORES, num_homes=num_homes)
-        apply_stream(mono, stream)
-        apply_stream(dist, stream)
-        for line in {line for _, line, _ in stream}:
-            assert dist.sharers(line) == mono.sharers(line)
-            assert dist.owner(line) == mono.owner(line)
-            assert dist.is_modified(line) == mono.is_modified(line)
-        assert dist._sharers == mono._sharers
-        assert dist._owner == mono._owner
-        assert dist.stats == mono.stats
-
-    @given(stream=event_streams())
-    @settings(max_examples=50)
-    def test_lines_live_only_at_their_home(self, stream):
-        dist = DistributedDirectory(num_cores=CORES, num_homes=4)
-        apply_stream(dist, stream)
-        for idx, home in enumerate(dist.homes):
-            for line in set(home._sharers) | set(home._owner):
-                assert dist.home_of(line) == idx
-
-    def test_stats_aggregate_across_homes(self):
-        dist = DistributedDirectory(num_cores=CORES, num_homes=2)
-        dist.note_read(0, 1)      # home 0
-        dist.note_write(0, 2)     # invalidates core 1 at home 0
-        dist.note_write(1, 3)     # home 1
-        dist.note_read(1, 4)      # downgrade + c2c at home 1
-        stats = dist.stats
-        assert stats == DirectoryStats(
-            invalidations_sent=1, downgrades=1, cache_to_cache=1
-        )
-
-    def test_flush_clears_every_home_but_keeps_stats(self):
-        dist = DistributedDirectory(num_cores=CORES, num_homes=3)
-        for line in range(9):
-            dist.note_write(line, line % CORES)
-        dist.note_read(0, 5)
-        before = dist.stats
-        dist.flush()
-        assert dist._sharers == {} and dist._owner == {}
-        assert dist.stats == before
-
-    def test_rejects_nonpositive_home_count(self):
-        with pytest.raises(ValueError, match="num_homes"):
-            DistributedDirectory(num_cores=CORES, num_homes=0)

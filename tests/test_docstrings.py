@@ -3,8 +3,9 @@
 Mirrors the pydocstyle/ruff "missing docstring" rules (D100-D104) with no
 third-party dependency, scoped — per the documentation policy — to
 ``repro.experiments``, ``repro.store``, ``repro.sim``, ``repro.faults``,
-``repro.serve``, ``repro.clustering``, ``repro.core``, ``repro.trace`` and
-``repro.util``.  CI additionally runs ruff's ``D1`` rules over the same
+``repro.serve``, ``repro.clustering``, ``repro.core``, ``repro.trace``,
+``repro.util``, ``repro.mem``, ``repro.machines``, ``repro.workloads``,
+``repro.profiling`` and ``repro.cpu``.  CI additionally runs ruff's ``D1`` rules over the same
 packages.
 """
 
@@ -18,7 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: Packages under the documentation mandate.
 AUDITED = (
     "experiments", "store", "sim", "faults", "serve", "clustering", "core",
-    "trace", "util",
+    "trace", "util", "mem", "machines", "workloads", "profiling", "cpu",
 )
 
 
