@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     corpus_replay_p = corpus_sub.add_parser(
-        "replay", help="sharded parallel replay of one corpus entry"
+        "replay", help="split one corpus entry into shards and replay the "
+                       "shard chain"
     )
     corpus_replay_p.add_argument(
         "entry", help="entry label (e.g. fuzz-11/2t) or workload name",
@@ -237,16 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard count (default 3, capped at the region count)",
     )
     corpus_replay_p.add_argument(
-        "--workers", type=int, default=0,
-        help="process count for the shard fan-out (default 0 = serial)",
-    )
-    corpus_replay_p.add_argument(
         "--backend", default="inclusive",
         help="hierarchy backend to replay on (default inclusive)",
     )
     corpus_replay_p.add_argument(
         "--full", action="store_true",
-        help="also run the detailed full simulation (merged across shards)",
+        help="also run the detailed full simulation",
     )
     corpus_replay_p.add_argument(
         "--name", default="default",
@@ -782,7 +779,7 @@ def cmd_trace_corpus_list(
 def cmd_trace_corpus_replay(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    """``repro trace corpus replay``: sharded replay of one entry."""
+    """``repro trace corpus replay``: shard-chain replay of one entry."""
     import shutil
     import tempfile
 
@@ -790,15 +787,17 @@ def cmd_trace_corpus_replay(
     from repro.trace.corpus import conformance_machine
     from repro.trace.shard import ShardedReplay, split_trace
 
+    if args.shards < 1:
+        raise ConfigError(f"--shards must be >= 1, got {args.shards}")
     corpus = _open_corpus(args.name)
     entry = _find_corpus_entry(corpus, args.entry)
     path = corpus.resolve(entry)
     machine = conformance_machine(entry.num_threads, args.backend)
-    shards = min(max(args.shards, 1), entry.num_regions)
+    shards = min(args.shards, entry.num_regions)
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-corpus-replay-"))
     try:
         shard_paths = split_trace(path, workdir, num_shards=shards)
-        replay = ShardedReplay(shard_paths, machine, workers=args.workers)
+        replay = ShardedReplay(shard_paths, machine)
         profiles, full = replay.run(
             want_profiles=True, want_full=args.full
         )
@@ -806,8 +805,7 @@ def cmd_trace_corpus_replay(
         shutil.rmtree(workdir, ignore_errors=True)
     print(
         f"replayed {entry.label} from the corpus: {len(profiles)} regions "
-        f"across {shards} shard(s), {args.workers} worker(s) "
-        f"on {machine.name}"
+        f"across {shards} shard(s) on {machine.name}"
     )
     print(f"profile digest: {profiles_digest(profiles)}")
     if full is not None:

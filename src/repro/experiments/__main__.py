@@ -1,7 +1,7 @@
 """Run the complete evaluation battery: ``python -m repro.experiments``.
 
-This is a thin alias for ``repro run`` (see :mod:`repro.experiments.battery`
-and ``docs/cli.md``).  Options:
+An alias for ``repro run`` that takes the same options (see
+``docs/cli.md``):
 
     --scale S      workload scale factor (default 1.0)
     --quick        small-scale smoke run (scale 0.3, npb-ft/cg/is)
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.battery import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main(prog="python -m repro.experiments"))
+    sys.exit(main(["run", *sys.argv[1:]]))

@@ -1,7 +1,7 @@
 """The evaluation battery: every figure/table, store-cached and parallel.
 
-This module is the single driver behind both ``repro run`` and
-``python -m repro.experiments``.  It knows three things:
+This module is the single driver behind ``repro run`` (and its alias
+``python -m repro.experiments``).  It knows three things:
 
 * the registry of experiments (:data:`EXPERIMENTS`),
 * how to build an :class:`ExperimentRunner` from CLI options, and
@@ -417,32 +417,3 @@ def show_configs() -> str:
     for key, value in paper_data.SIMPOINT_PARAMETERS.items():
         lines.append(f"  (paper {key} = {value})")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None, prog: str = "repro run") -> int:
-    """Run the battery from CLI options and print every output.
-
-    Args:
-        argv: Argument list (default ``sys.argv[1:]``).
-        prog: Program name for help text.
-
-    Returns:
-        Process exit code.
-    """
-    parser = argparse.ArgumentParser(prog=prog)
-    add_runner_options(parser)
-    args = parser.parse_args(argv)
-    runner = runner_from_args(args)
-    selected = select_experiments(parser, args.only)
-
-    print(show_configs())
-    print()
-
-    def _report(name: str, output: str, seconds: float, cached: bool) -> None:
-        source = "store" if cached else "computed"
-        print(output)
-        print(f"[{name} regenerated in {seconds:.1f}s ({source})]")
-        print()
-
-    run_experiments(runner, selected, on_result=_report)
-    return 0

@@ -199,7 +199,7 @@ class TaskReport:
 
     Attributes:
         label: Human identity of the task (e.g. ``"npb-is/8t"`` for a
-            battery pass, ``"shard[3:6]"`` for a shard replay).
+            battery pass, ``"shard[0:9]"`` for a shard-chain replay).
         attempts: Attempts actually executed.
         disposition: ``"completed"``, ``"failed"``, or ``"resumed"``
             (skipped because the checkpoint journal had it).
@@ -263,8 +263,8 @@ class FanoutTask:
 
     Attributes:
         key: Stable task identity — the retry-backoff/journal key (for
-            battery passes this is the artifact-store key; for trace
-            shards it covers the shard's content fingerprint and range).
+            battery passes this is the artifact-store key; for a shard
+            chain it covers the shards' content fingerprints).
         label: Human identity used in reports and error messages, and
             the ``runner.task`` fault-site key of every attempt.
         args: Positional arguments of the worker function.
@@ -349,9 +349,10 @@ class FaultTolerantFanout:
     """Reusable fault-tolerant task fan-out over a process pool.
 
     The execution engine behind :meth:`ExperimentRunner.prefetch`,
-    :class:`repro.trace.shard.ShardedReplay`, and the corpus conformance
-    sweep: tasks run in a :class:`~concurrent.futures.ProcessPoolExecutor`
-    (or serially in-process when ``workers`` <= 1), failed attempts are
+    :class:`repro.trace.shard.ShardedReplay` (one serial task per shard
+    chain), and the corpus conformance sweep: tasks run in a
+    :class:`~concurrent.futures.ProcessPoolExecutor` (or serially
+    in-process when ``workers`` <= 1), failed attempts are
     retried with deterministic backoff under :class:`RetryPolicy`, a
     broken pool is respawned with only the incomplete tasks resubmitted,
     repeated pool failures degrade to serial execution, and a task that

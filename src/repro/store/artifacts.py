@@ -213,8 +213,33 @@ class ArtifactStore:
         Returns:
             The stored payload, or ``None``.
         """
-        loaded = self._load(kind, key)
-        return None if loaded is None else loaded[0]
+        if not self.enabled:
+            return None
+        path = self.path_for(kind, key)
+
+        def read_once(attempt: int) -> bytes:
+            """One read attempt, preceded by the ``store.get`` fault hook."""
+            maybe_inject("store.get", key=f"{kind}/{key}", attempt=attempt)
+            return path.read_bytes()
+
+        try:
+            blob = _with_io_retries(read_once)
+        except OSError:
+            # Missing file, or an I/O error that survived the retries:
+            # either way the artifact is unavailable — a miss, not a crash.
+            self.misses += 1
+            return None
+        loaded = self._decode(blob)
+        if loaded is None:
+            self.misses += 1
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - racing cleanup is fine
+                pass
+            return None
+        self.hits += 1
+        self._touch(path)
+        return loaded[0]
 
     def put(self, kind: str, key: str, payload: object) -> pathlib.Path | None:
         """Persist an artifact atomically.
@@ -230,6 +255,7 @@ class ArtifactStore:
         if not self.enabled:
             return None
         path = self.path_for(kind, key)
+        # The one-tuple wrapper is the on-disk format of every store.
         body = pickle.dumps((payload,), protocol=4)
         blob = _MAGIC + hashlib.sha256(body).digest() + body
         # A torn-write fault truncates the bytes here; the checksum makes
@@ -401,27 +427,6 @@ class ArtifactStore:
         self._touch(path)
         return body
 
-    def get_or_compute(self, kind: str, key: str, compute) -> object:
-        """Return the cached artifact, computing and storing it on miss.
-
-        A stored ``None`` payload is a hit (the one-tuple wrapper on disk
-        distinguishes it from a genuine miss).
-
-        Args:
-            kind: Artifact namespace.
-            key: Key from :meth:`derive_key`.
-            compute: Zero-argument callable producing the payload.
-
-        Returns:
-            The cached or freshly computed payload.
-        """
-        loaded = self._load(kind, key)
-        if loaded is not None:
-            return loaded[0]
-        payload = compute()
-        self.put(kind, key, payload)
-        return payload
-
     def clear(self) -> int:
         """Delete every stored artifact.
 
@@ -458,40 +463,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-
-    def _load(self, kind: str, key: str) -> tuple[object] | None:
-        """Load the wrapped payload one-tuple, or ``None`` on miss.
-
-        Keeps the stored-``None``-vs-miss distinction the one-tuple file
-        format preserves; corrupt files are unlinked.
-        """
-        if not self.enabled:
-            return None
-        path = self.path_for(kind, key)
-
-        def read_once(attempt: int) -> bytes:
-            """One read attempt, preceded by the ``store.get`` fault hook."""
-            maybe_inject("store.get", key=f"{kind}/{key}", attempt=attempt)
-            return path.read_bytes()
-
-        try:
-            blob = _with_io_retries(read_once)
-        except OSError:
-            # Missing file, or an I/O error that survived the retries:
-            # either way the artifact is unavailable — a miss, not a crash.
-            self.misses += 1
-            return None
-        payload = self._decode(blob)
-        if payload is None:
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                pass
-            return None
-        self.hits += 1
-        self._touch(path)
-        return payload
 
     @staticmethod
     def _touch(path: pathlib.Path) -> None:

@@ -8,7 +8,7 @@ Batch-recording fuzz seed ranges turns the seeded
 :class:`~repro.trace.generators.ScenarioFuzzer` into a corpus of
 scenarios that `repro trace corpus verify` sweeps with the
 differential-conformance battery: every entry × every hierarchy backend,
-unsharded replay vs. sharded-merged replay, digests compared exactly.
+unsharded replay vs. shard-chain replay, digests compared exactly.
 
 Integrity and GC interplay:
 
@@ -59,8 +59,8 @@ def full_run_digest(full) -> str:
     and exact in every float, so two results digest equal iff they are
     bit-identical.  The conformance sweep compares this *per hierarchy
     backend*: functional profiles are backend-independent, but detailed
-    simulation is where the backends (and any merge bug that perturbs
-    warmup state) actually diverge.
+    simulation is where the backends (and any shard-chain bug that
+    perturbs warmup state) actually diverge.
 
     Args:
         full: A :class:`~repro.sim.machine.FullRunResult`.
@@ -280,7 +280,7 @@ class TraceCorpus:
         Raises:
             TraceFormatError: When the trace is missing from the store
                 (GC-evicted) or failed validation (corrupted) — the
-                caller must re-record, never merge garbage.
+                caller must re-record, never replay garbage.
         """
         path = self.store.get_file(
             "traces", entry.store_key, validate=validate_trace
@@ -306,12 +306,11 @@ class TraceCorpus:
 
         For every entry × hierarchy backend, one fan-out task replays the
         stored trace twice — unsharded
-        (:class:`~repro.workloads.replay.ReplayWorkload`) and through the
-        sharded split-and-merge path
-        (:class:`~repro.trace.shard.ShardedReplay`, serial inside the
-        task) — and compares both the functional profile digest and the
+        (:class:`~repro.workloads.replay.ReplayWorkload`) and split into
+        shards whose chain is replayed once
+        (:class:`~repro.trace.shard.ShardedReplay`, inside the task) —
+        and compares both the functional profile digest and the
         detailed full-run digest (:func:`full_run_digest`) exactly.  The
-        profile leg checks the merge itself (backend-independent); the
         full-run leg is what makes the backend axis bite, since the
         hierarchy backends only diverge in detailed simulation.  Tasks
         run in parallel under the fault-tolerant fan-out; a digest
@@ -319,8 +318,8 @@ class TraceCorpus:
         entry never hides the rest of the sweep.
 
         Args:
-            num_shards: Shard count of the sharded leg (capped per entry
-                at its region count).
+            num_shards: Shard count of the sharded leg (>= 1; capped per
+                entry at its region count).
             workers: Process count (<= 1 = serial).
             backends: Hierarchy backends to sweep (default: all
                 registered, sorted).
@@ -335,6 +334,7 @@ class TraceCorpus:
             and ``ok`` (both pairs equal).
 
         Raises:
+            ConfigError: When ``num_shards`` < 1 (before any replay).
             TraceFormatError: When the manifest or any entry's trace is
                 missing/corrupt.
             RetryExhaustedError: When a task kept failing through its
@@ -349,6 +349,8 @@ class TraceCorpus:
         from repro.mem.backends import backend_names
         from repro.store import ArtifactStore
 
+        if num_shards < 1:
+            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         if backends is None:
             backends = tuple(sorted(backend_names()))
         entries = self.entries()
@@ -430,7 +432,7 @@ def _verify_conformance_task(
     Returns:
         ``{"unsharded", "sharded"}`` profile digests plus
         ``{"unsharded_full", "sharded_full"}`` detailed-run digests of
-        the plain replay and of the split-shard-merge replay.
+        the plain replay and of the shard-chain replay.
     """
     from repro.core.pipeline import BarrierPointPipeline
     from repro.profiling.profiler import profiles_digest
@@ -449,9 +451,9 @@ def _verify_conformance_task(
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-verify-"))
     try:
         shard_paths = split_trace(trace_path, workdir, num_shards=shards)
-        profiles, full = ShardedReplay(
-            shard_paths, machine, workers=0
-        ).run(want_profiles=True, want_full=True)
+        profiles, full = ShardedReplay(shard_paths, machine).run(
+            want_profiles=True, want_full=True
+        )
         sharded = profiles_digest(profiles)
         sharded_full = full_run_digest(full)
     finally:

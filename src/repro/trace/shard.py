@@ -1,4 +1,4 @@
-"""Region-range sharding of recorded traces, with deterministic parallel replay.
+"""Region-range sharding of recorded traces, with deterministic chain replay.
 
 A *shard* is a standalone ``.rpt`` file holding a contiguous region range
 ``[start, end)`` of a parent trace: same format version, same metadata
@@ -8,25 +8,22 @@ content fingerprint and the range.  Shards are produced by byte-exact
 copies of the parent's chunk payloads (re-indexed and re-CRC'd), so a
 shard's chunk ``k`` is bit-identical to the parent's chunk ``start + k``.
 
-**Merge determinism contract.**  Replay state is *cumulative*: the
-functional profiler keeps one persistent LRU stack per thread across
-regions, and the detailed simulator carries cache/core state from region
-to region.  A shard replayed cold would therefore diverge from the same
-regions inside an unsharded replay.  :class:`ShardedReplay` restores bit
-identity by *prefix warming*: the worker for shard ``k`` replays the chain
-of shards ``0..k`` from region 0 and keeps only the results of shard
-``k``'s own range.  Every region is thus computed with exactly the warmup
-history the unsharded replay would have given it, so concatenating the
-per-shard slices in shard order reproduces the unsharded profiles and
-:class:`~repro.sim.machine.FullRunResult` bit for bit — on every
-hierarchy backend (``tests/test_trace_shard.py`` asserts this).  The
-price is prefix work (shard ``k`` replays ``end_k`` regions), which the
-fan-out runs in parallel; wall-clock is bounded by the full-chain task.
+**Chain-replay contract.**  Replay state is *cumulative*: the functional
+profiler keeps one persistent LRU stack per thread across regions, and
+the detailed simulator carries cache/core state from region to region.
+A shard replayed cold would therefore diverge from the same regions
+inside an unsharded replay.  :class:`ShardedReplay` replays the complete
+chain of shards ``0..S-1`` once, from region 0, serving each global
+region from its owning shard's chunk.  Every region is thus computed
+with exactly the history the unsharded replay gives it, so the chain's
+profiles and :class:`~repro.sim.machine.FullRunResult` are bit-identical
+to the unsharded replay — on every hierarchy backend
+(``tests/test_trace_shard.py`` asserts this).
 
-Fan-out inherits the experiment runner's fault tolerance wholesale
-(:class:`~repro.experiments.common.FaultTolerantFanout`): retry/backoff,
-per-task timeouts, pool respawn, serial fallback, and the ``runner.task``
-/ ``trace.read`` fault-injection sites.
+The replay runs as one task of the experiment runner's fault-tolerant
+fan-out (:class:`~repro.experiments.common.FaultTolerantFanout`):
+retry/backoff, the per-task time budget, and the ``runner.task`` /
+``trace.read`` fault-injection sites.
 """
 
 from __future__ import annotations
@@ -238,15 +235,13 @@ def split_trace(
 
 
 class ShardChainReplay(Workload):
-    """Replay a contiguous chain of shards of one parent trace.
+    """Replay the complete chain of shards of one parent trace.
 
-    The chain must start at the parent's region 0 and be gap-free (each
-    shard's ``start`` equals the previous shard's ``end``); it may stop
-    before the parent's last region — that prefix property is what lets
-    :class:`ShardedReplay` warm each shard with exactly the history the
-    unsharded replay would have.  Global region ``i`` is served from the
+    The chain must start at the parent's region 0, be gap-free (each
+    shard's ``start`` equals the previous shard's ``end``), and end at
+    the parent's last region.  Global region ``i`` is served from the
     owning shard's local chunk, so the observed executions equal the
-    parent trace's regions ``0..end`` bit for bit.
+    parent trace's regions bit for bit.
 
     Parameters
     ----------
@@ -285,7 +280,7 @@ class ShardChainReplay(Workload):
         )
 
     def _validate_chain(self) -> None:
-        """Reject any chain that is not a gap-free prefix of one parent."""
+        """Reject any chain that is not the gap-free whole of one parent."""
         provs = []
         for reader in self._readers:
             prov = reader.meta.get(SHARD_META_KEY)
@@ -332,6 +327,12 @@ class ShardChainReplay(Workload):
                     f"gap between region {prev['end']} and "
                     f"{nxt['start']}: shards must be contiguous"
                 )
+        last = provs[-1]
+        if last["end"] != last["parent_regions"]:
+            raise self._chain_fail(
+                f"chain stops at region {last['end']} of "
+                f"{last['parent_regions']}: replay needs the complete chain"
+            )
 
     def _build(self) -> None:
         """Concatenate shard schedules; adopt the (shared) block table."""
@@ -369,72 +370,54 @@ class ShardChainReplay(Workload):
 
 
 def _replay_shard_task(
-    paths, start: int, end: int, machine,
-    want_profiles: bool, want_full: bool,
-) -> dict:
-    """Pool worker: prefix-warmed replay of one shard's region range.
+    paths, machine, want_profiles: bool, want_full: bool
+) -> tuple:
+    """Fan-out worker: replay a complete shard chain.
 
     Args:
-        paths: The shard chain ``0..k`` (prefix warming).
-        start: First region (global index) whose results are kept.
-        end: One past the last kept region.
-        machine: Picklable evaluation
-            :class:`~repro.config.MachineConfig`.
+        paths: The shard chain in chain order.
+        machine: Evaluation :class:`~repro.config.MachineConfig`.
         want_profiles: Compute the functional profiles.
         want_full: Compute the detailed full run.
 
     Returns:
-        ``{"profiles": [RegionProfile state, ...]}`` and/or
-        ``{"full": FullRunResult state}`` restricted to ``[start, end)``.
+        ``(profiles, full)``: the chain's
+        :class:`~repro.profiling.profiler.RegionProfile` list and its
+        :class:`~repro.sim.machine.FullRunResult`, each ``None`` when
+        not requested.
     """
     from repro.core.pipeline import BarrierPointPipeline
 
     chain = ShardChainReplay(list(paths))
     try:
         pipe = BarrierPointPipeline(machine)
-        states: dict = {}
-        if want_profiles:
-            profiles = pipe.profile(chain)
-            states["profiles"] = [p.to_state() for p in profiles[start:end]]
-        if want_full:
-            state = pipe.full_run(chain).to_state()
-            state["regions"] = state["regions"][start:end]
-            states["full"] = state
+        profiles = pipe.profile(chain) if want_profiles else None
+        full = pipe.full_run(chain) if want_full else None
     finally:
         chain.close()
-    return states
+    return profiles, full
 
 
 class ShardedReplay:
-    """Fan shard replays across processes; merge results deterministically.
+    """Replay a complete shard chain as one fault-tolerant task.
 
-    One fan-out task per shard: the task for shard ``k`` replays the
-    chain of shards ``0..k`` (prefix warming — see the module docstring)
-    and returns only shard ``k``'s slice.  The parent concatenates the
-    slices in shard order, which is bit-identical to the unsharded
+    The chain is replayed once from region 0 (see the module docstring),
+    which is bit-identical to the unsharded
     :class:`~repro.workloads.replay.ReplayWorkload` on every backend.
-
-    Execution inherits the experiment runner's full fault tolerance via
-    :class:`~repro.experiments.common.FaultTolerantFanout` — retries
-    with deterministic backoff, per-task timeouts, pool respawn on
-    worker death, serial fallback, and the ``runner.task`` /
-    ``trace.read`` fault sites.  ``workers`` <= 1 replays serially
-    in-process (still shard-at-a-time, still bit-identical).
+    The replay is a single task, labelled ``shard[0:N]``, of a serial
+    :class:`~repro.experiments.common.FaultTolerantFanout`: retries with
+    deterministic backoff, the per-task time budget, and the
+    ``runner.task`` / ``trace.read`` fault sites.
     """
 
-    def __init__(
-        self, shard_paths, machine, workers: int = 0,
-        retry=None, report=None,
-    ) -> None:
+    def __init__(self, shard_paths, machine, retry=None, report=None) -> None:
         """Validate the chain and bind the evaluation machine.
 
         Args:
             shard_paths: Shard files in chain order; the chain must cover
-                the whole parent trace (prefix chains are an internal
-                detail of the workers).
+                the whole parent trace.
             machine: Evaluation :class:`~repro.config.MachineConfig`;
                 its core count must equal the trace's thread count.
-            workers: Process count (<= 1 = serial in-process).
             retry: :class:`~repro.experiments.common.RetryPolicy`
                 override (default: from the environment).
             report: :class:`~repro.experiments.common.RunReport` to
@@ -444,34 +427,22 @@ class ShardedReplay:
 
         self.paths = tuple(str(pathlib.Path(p)) for p in shard_paths)
         chain = ShardChainReplay(self.paths)
-        try:
-            prov = chain._readers[-1].meta[SHARD_META_KEY]
-            if prov["end"] != prov["parent_regions"]:
-                raise TraceFormatError(
-                    f"shard chain {list(self.paths)} stops at region "
-                    f"{prov['end']} of {prov['parent_regions']}: a "
-                    f"ShardedReplay needs the complete chain"
-                )
-            self.boundaries = chain.shard_boundaries
-            self.workload_name = chain.name
-            self.num_threads = chain.num_threads
-            if machine.num_cores != chain.num_threads:
-                raise ConfigError(
-                    f"machine {machine.name!r} has {machine.num_cores} "
-                    f"cores but the trace was recorded with "
-                    f"{chain.num_threads} threads"
-                )
-        finally:
-            chain.close()
+        chain.close()
+        if machine.num_cores != chain.num_threads:
+            raise ConfigError(
+                f"machine {machine.name!r} has {machine.num_cores} "
+                f"cores but the trace was recorded with "
+                f"{chain.num_threads} threads"
+            )
+        self.num_regions = chain.shard_boundaries[-1]
         self.machine = machine
-        self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         self.report = report if report is not None else RunReport()
 
     def run(
         self, want_profiles: bool = True, want_full: bool = False
     ) -> tuple:
-        """Replay every shard and merge.
+        """Replay the chain.
 
         Args:
             want_profiles: Collect functional profiles (BBVs/LDVs).
@@ -484,51 +455,22 @@ class ShardedReplay:
             (or ``None``), each bit-identical to the unsharded replay.
 
         Raises:
-            RetryExhaustedError: When a shard task kept failing through
+            RetryExhaustedError: When the replay kept failing through
                 its whole retry budget.
         """
         from repro.experiments.common import FanoutTask, FaultTolerantFanout
-        from repro.profiling.profiler import RegionProfile
-        from repro.sim.machine import FullRunResult
         from repro.store import ArtifactStore
 
-        tasks = []
-        for k in range(len(self.boundaries) - 1):
-            start, end = self.boundaries[k], self.boundaries[k + 1]
-            prefix = self.paths[: k + 1]
-            key = ArtifactStore.derive_key(
-                shards=[trace_fingerprint(p) for p in prefix],
-                range=(start, end),
+        task = FanoutTask(
+            key=ArtifactStore.derive_key(
+                shards=[trace_fingerprint(p) for p in self.paths],
                 machine=self.machine.fingerprint(),
                 kinds=(want_profiles, want_full),
-            )
-            tasks.append(FanoutTask(
-                key=key,
-                label=f"shard[{start}:{end}]",
-                args=(prefix, start, end, self.machine,
-                      want_profiles, want_full),
-                meta=(start, end),
-            ))
-        fanout = FaultTolerantFanout(
-            fn=_replay_shard_task, workers=self.workers,
-            retry=self.retry, report=self.report,
+            ),
+            label=f"shard[0:{self.num_regions}]",
+            args=(self.paths, self.machine, want_profiles, want_full),
         )
-        results = fanout.run(tasks)
-        profiles: list | None = [] if want_profiles else None
-        full_states: list = []
-        for task in tasks:
-            states = results[task.key]
-            if want_profiles:
-                profiles.extend(
-                    RegionProfile.from_state(s) for s in states["profiles"]
-                )
-            if want_full:
-                full_states.append(states["full"])
-        full = None
-        if want_full:
-            merged = dict(full_states[0])
-            merged["regions"] = tuple(
-                r for state in full_states for r in state["regions"]
-            )
-            full = FullRunResult.from_state(merged)
-        return profiles, full
+        fanout = FaultTolerantFanout(
+            fn=_replay_shard_task, retry=self.retry, report=self.report
+        )
+        return fanout.run([task])[task.key]

@@ -81,26 +81,33 @@ def test_figure_store_invalidates_per_module(tmp_path, monkeypatch):
     assert dict(seen) == {"fig1": True, "table3": True}
 
 
-def test_battery_main_smoke(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-    assert battery.main(["--quick", "--only", "fig1"]) == 0
-    out = capsys.readouterr().out
-    assert "Table I" in out and "Fig. 1" in out and "(computed)" in out
-    # Second run serves the figure from the store.
-    assert battery.main(["--quick", "--only", "fig1"]) == 0
-    assert "(store)" in capsys.readouterr().out
-
-
-def test_battery_rejects_unknown_experiment(capsys):
-    with pytest.raises(SystemExit):
-        battery.main(["--quick", "--only", "fig2"])
-    assert "unknown experiments" in capsys.readouterr().err
-
-
 def test_cli_run_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
     assert cli.main(["run", "--quick", "--only", "fig1"]) == 0
-    assert "Fig. 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Table I" in out and "Fig. 1" in out and "(computed)" in out
+    # Second run serves the figure from the store.
+    assert cli.main(["run", "--quick", "--only", "fig1"]) == 0
+    assert "(store)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--quick", "--only", "fig2"], "unknown experiments"),
+        (["--quick", "--machines", "bogus"], "unknown machines"),
+    ],
+)
+def test_experiments_module_is_repro_run(argv, message, monkeypatch, capsys):
+    """``python -m repro.experiments`` is ``repro run``: bad options are
+    usage errors (exit 2), not tracebacks."""
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["python -m repro.experiments", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("repro.experiments", run_name="__main__")
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_figures_writes_files(tmp_path, monkeypatch, capsys):
@@ -343,6 +350,58 @@ def test_trace_record_replay_inspect_round_trip(trace_cwd, capsys):
     ]) == 0
     text = capsys.readouterr().out
     assert "verify OK" in text and "profile digest" in text
+
+
+@pytest.fixture
+def fuzz_corpus(trace_cwd, capsys):
+    """A default corpus in ``trace_cwd``'s store holding fuzz-1 at 2
+    threads, scale 0.05."""
+    assert cli.main([
+        "trace", "corpus", "record", "1", "--threads", "2",
+        "--scale", "0.05",
+    ]) == 0
+    assert "recorded fuzz-1/2t" in capsys.readouterr().out
+    return trace_cwd
+
+
+def test_trace_corpus_command_group(fuzz_corpus, capsys):
+    from repro.core.pipeline import BarrierPointPipeline
+    from repro.profiling.profiler import profiles_digest
+    from repro.trace.corpus import TraceCorpus, conformance_machine
+    from repro.workloads.replay import ReplayWorkload
+
+    assert cli.main(["trace", "corpus", "list"]) == 0
+    assert "fuzz-1/2t" in capsys.readouterr().out
+
+    assert cli.main([
+        "trace", "corpus", "replay", "fuzz-1/2t", "--shards", "3", "--full",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "across 3 shard(s)" in out and "full run:" in out
+    corpus = TraceCorpus(ArtifactStore())
+    replay = ReplayWorkload(corpus.resolve(corpus.entries()[0]))
+    try:
+        pipe = BarrierPointPipeline(conformance_machine(2, "inclusive"))
+        digest = profiles_digest(pipe.profile(replay))
+    finally:
+        replay.close()
+    assert f"profile digest: {digest}" in out
+
+    assert cli.main(["trace", "corpus", "verify"]) == 0
+    assert "verify OK" in capsys.readouterr().out
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["trace", "corpus", "replay", "fuzz-1/2t", "--workers", "2"])
+    assert excinfo.value.code == 2
+
+
+def test_trace_corpus_replay_rejects_nonpositive_shards(fuzz_corpus, capsys):
+    assert cli.main([
+        "trace", "corpus", "replay", "fuzz-1/2t", "--shards", "-4",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "--shards must be >= 1, got -4" in captured.err
+    assert "replayed" not in captured.out
 
 
 def test_trace_record_default_filename_and_store(trace_cwd, capsys):

@@ -524,31 +524,29 @@ class TestShardedReplayFaults:
         return paths, machine, baseline
 
     @staticmethod
-    def _run(paths, machine, workers=2, **retry_kwargs):
+    def _run(paths, machine, **retry_kwargs):
         from repro.trace.shard import ShardedReplay
 
         retry_kwargs.setdefault("max_retries", 2)
         replay = ShardedReplay(
-            paths, machine, workers=workers,
-            retry=RetryPolicy(**retry_kwargs, **FAST),
+            paths, machine, retry=RetryPolicy(**retry_kwargs, **FAST),
         )
         profiles, full = replay.run(want_profiles=True, want_full=True)
         return (profiles_digest(profiles), full.to_state()), replay.report
 
     def test_trace_read_fault_recovers_bit_identically(self, shards):
-        """Every shard task hits a trace.read fault on attempt 0; the
-        retried (attempt-gated) tasks merge bit-identically."""
+        """The chain-replay task hits a trace.read fault on attempt 0;
+        the retried (attempt-gated) task replays bit-identically."""
         paths, machine, baseline = shards
         install_plan(FaultPlan.parse(
             "trace.read:exception:max_attempts=1", seed=3
         ))
         results, report = self._run(paths, machine)
         assert results == baseline
-        assert len(report.tasks) == len(paths)
-        for task in report.tasks:
-            assert task.disposition == "completed"
-            assert task.attempts == 2
-            assert "InjectedFaultError" in task.errors[0]
+        [task] = report.tasks
+        assert task.disposition == "completed"
+        assert task.attempts == 2
+        assert "InjectedFaultError" in task.errors[0]
 
     def test_trace_read_fault_recovers_in_corpus_verify(self, tmp_path):
         """The same one-shot trace.read rule recovers in the corpus
@@ -573,7 +571,7 @@ class TestShardedReplayFaults:
         assert "InjectedFaultError" in report.tasks[0].errors[0]
 
     def test_runner_task_fault_recovers_bit_identically(self, shards):
-        """The runner.task site covers shard tasks exactly like
+        """The runner.task site covers the shard-chain task exactly like
         experiment passes."""
         paths, machine, baseline = shards
         install_plan(FaultPlan.parse(
@@ -581,10 +579,10 @@ class TestShardedReplayFaults:
         ))
         results, report = self._run(paths, machine)
         assert results == baseline
-        assert all(t.attempts == 2 for t in report.tasks)
+        assert [t.attempts for t in report.tasks] == [2]
 
     def test_persistent_trace_read_fault_exhausts_loudly(self, shards):
-        """A fault surviving every retry aborts the merge — partial or
+        """A fault surviving every retry aborts the replay — partial or
         wrong results are not an outcome."""
         paths, machine, _ = shards
         install_plan(FaultPlan.parse(
@@ -603,11 +601,11 @@ class TestShardedReplayFaults:
         store = ArtifactStore(root=tmp_path / "store")
         corpus = TraceCorpus(store, name="faulty")
         corpus.record_fuzz_range([1], num_threads=2, scale=SCALE)
-        clean = corpus.verify(workers=0)
+        clean = corpus.verify()
 
         install_plan(FaultPlan.parse("store.get:io_error:max_attempts=1"))
         assert len(corpus.entries()) == 1
-        assert corpus.verify(workers=0) == clean
+        assert corpus.verify() == clean
 
     def test_persistent_store_get_fault_on_manifest_is_loud(self, tmp_path):
         """A manifest unreadable through every retry raises — it must

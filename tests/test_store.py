@@ -68,8 +68,8 @@ class TestArtifactStore:
         path.write_bytes(blob[: len(blob) // 2])
         assert store.get("demo", key) is None
         assert not path.exists()  # corrupt file unlinked
-        # ... and get_or_compute heals it.
-        assert store.get_or_compute("demo", key, lambda: "fresh") == "fresh"
+        # ... and the next put heals it.
+        store.put("demo", key, "fresh")
         assert store.get("demo", key) == "fresh"
 
     def test_garbage_file_is_a_miss(self, store):
@@ -85,18 +85,6 @@ class TestArtifactStore:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert store.get("demo", key) is None
-
-    def test_get_or_compute_caches_none_payload(self, store):
-        key = store.derive_key(x="none")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return None
-
-        assert store.get_or_compute("demo", key, compute) is None
-        assert store.get_or_compute("demo", key, compute) is None
-        assert calls == [1]  # stored None is a hit, not a recompute
 
     def test_clear_and_size(self, store):
         store.put("demo", store.derive_key(x=1), "a")

@@ -6,7 +6,7 @@ from exactly those files and asserts (a) the corpus-wide
 differential-conformance sweep passes on every hierarchy backend, and
 (b) every corruption mode — bit-flipped stored trace, bit-flipped shard,
 torn manifest — surfaces as a store miss or a loud
-:class:`~repro.errors.TraceFormatError`, never a wrong merge.
+:class:`~repro.errors.TraceFormatError`, never a wrong result.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.errors import (
     RetryExhaustedError,
     TraceFormatError,
 )
-from repro.experiments.common import RetryPolicy
+from repro.experiments.common import RetryPolicy, RunReport
 from repro.mem.backends import backend_names
 from repro.store import ArtifactStore
 from repro.trace.corpus import (
@@ -105,8 +105,8 @@ class TestGoldenCorpusFixture:
 class TestConformanceSweep:
     def test_sweep_passes_on_every_backend(self, corpus, golden_manifest):
         """Every golden entry × backend is bit-identical through the
-        split-shard-merge path, in profiles and detailed runs."""
-        results = corpus.verify(workers=0)
+        shard-chain replay, in profiles and detailed runs."""
+        results = corpus.verify()
         assert len(results) == len(golden_manifest["traces"]) * len(BACKENDS)
         assert all(r["ok"] for r in results)
         for r in results:
@@ -117,15 +117,25 @@ class TestConformanceSweep:
         """Profiles are backend-independent; detailed runs are not —
         the backend axis of the sweep is only meaningful because the
         full-run digest differs across hierarchy backends."""
-        results = corpus.verify(workers=0)
+        results = corpus.verify()
         label = results[0]["label"]
         mine = [r for r in results if r["label"] == label]
         assert len({r["unsharded"] for r in mine}) == 1
         assert len({r["unsharded_full"] for r in mine}) == len(BACKENDS)
 
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_nonpositive_shard_count_rejected_before_any_work(
+        self, corpus, bad
+    ):
+        """One ConfigError up front — no unsharded leg, no task."""
+        report = RunReport()
+        with pytest.raises(ConfigError, match="num_shards must be >= 1"):
+            corpus.verify(num_shards=bad, report=report)
+        assert report.tasks == []
+
     def test_empty_corpus_verifies_vacuously(self, tmp_path):
         store = ArtifactStore(root=tmp_path / "store")
-        assert TraceCorpus(store, name="empty").verify(workers=0) == []
+        assert TraceCorpus(store, name="empty").verify() == []
 
 
 class TestCorruption:
@@ -162,7 +172,7 @@ class TestCorruption:
 
     def test_bit_flipped_shard_never_merges(self, corpus, tmp_path):
         """Corrupting one payload byte of one shard aborts the sharded
-        replay loudly — a wrong merge is not an outcome."""
+        replay loudly — a wrong result is not an outcome."""
         from repro.trace.capture import TraceReader
 
         entry = corpus.entries()[0]
@@ -178,7 +188,7 @@ class TestCorruption:
 
         replay = ShardedReplay(
             shards, conformance_machine(entry.num_threads, BACKENDS[0]),
-            workers=0, retry=FAST,
+            retry=FAST,
         )
         with pytest.raises(RetryExhaustedError, match="TraceFormatError"):
             replay.run(want_profiles=True)

@@ -2,12 +2,12 @@
 
 Asserts the shard subsystem's central contract: for *any* valid shard
 plan — one shard, one shard per region, or randomized boundaries — the
-split-replay-merge path (:class:`~repro.trace.shard.ShardedReplay`) is
+shard-chain replay (:class:`~repro.trace.shard.ShardedReplay`) is
 bit-identical to the unsharded
 :class:`~repro.workloads.replay.ReplayWorkload`, in functional profiles
-*and* detailed full runs, on every hierarchy backend.  Malformed plans
-and broken chains must fail loudly at construction, never by merging
-wrong results.
+*and* detailed full runs, on every hierarchy backend, and replays each
+region exactly once.  Malformed plans and broken chains must fail loudly
+at construction, never by replaying wrong results.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.pipeline import BarrierPointPipeline
 from repro.errors import ConfigError, TraceFormatError
 from repro.mem.backends import backend_names
 from repro.profiling.profiler import profiles_digest
+from repro.sim.machine import Machine
 from repro.trace.capture import TraceReader, record_trace, validate_trace
 from repro.trace.shard import (
     ShardChainReplay,
@@ -83,11 +84,9 @@ def baseline(parent_trace):
     }
 
 
-def assert_matches_baseline(shard_paths, backend, baseline, workers=0):
+def assert_matches_baseline(shard_paths, backend, baseline):
     """Sharded replay of ``shard_paths`` equals the unsharded baseline."""
-    replay = ShardedReplay(
-        shard_paths, backend_machine(backend), workers=workers
-    )
+    replay = ShardedReplay(shard_paths, backend_machine(backend))
     profiles, full = replay.run(want_profiles=True, want_full=True)
     assert_bit_identical(
         [p.to_state() for p in profiles], baseline["profile_states"]
@@ -256,26 +255,14 @@ class TestChainValidation:
         with pytest.raises(ConfigError, match="cores"):
             ShardedReplay(shards, wrong)
 
-    def test_prefix_chain_replays_the_prefix(self, parent_trace, tmp_path):
-        """A valid prefix chain serves exactly the parent's first regions."""
-        paths = split_trace(parent_trace, tmp_path, num_shards=3)
-        chain = ShardChainReplay(paths[:2])
-        end = chain.shard_boundaries[-1]
-        unsharded = ReplayWorkload(parent_trace)
-        pipe = BarrierPointPipeline(tiny_machine())
-        try:
-            assert chain.num_regions == end
-            assert_bit_identical(
-                [p.to_state() for p in pipe.profile(chain)],
-                [p.to_state() for p in pipe.profile(unsharded)[:end]],
-            )
-        finally:
-            chain.close()
-            unsharded.close()
+    def test_incomplete_chain_rejected(self, shards):
+        """A chain stopping before the parent's last region is rejected."""
+        with pytest.raises(TraceFormatError, match="complete chain"):
+            ShardChainReplay(shards[:2])
 
 
 class TestShardedBitIdentity:
-    """The merge-determinism battery (the PR's acceptance property)."""
+    """The chain-replay determinism battery."""
 
     def test_single_shard(self, parent_trace, baseline, tmp_path):
         paths = split_trace(parent_trace, tmp_path, num_shards=1)
@@ -307,7 +294,23 @@ class TestShardedBitIdentity:
             )
             assert_matches_baseline(paths, backend, baseline)
 
-    def test_parallel_pool_replay(self, parent_trace, baseline, tmp_path):
-        """The process-pool fan-out merges identically to serial."""
+    def test_chain_replays_each_region_once(
+        self, parent_trace, num_regions, tmp_path, monkeypatch
+    ):
+        """One task replays the whole chain: every region is simulated
+        exactly once, however many shards the chain has."""
+        calls = []
+        simulate = Machine.simulate_region
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "simulate_region", counting)
         paths = split_trace(parent_trace, tmp_path, num_shards=3)
-        assert_matches_baseline(paths, BACKENDS[-1], baseline, workers=2)
+        replay = ShardedReplay(paths, tiny_machine())
+        replay.run(want_full=True)
+        assert len(calls) == num_regions
+        assert [t.label for t in replay.report.tasks] == [
+            f"shard[0:{num_regions}]"
+        ]
