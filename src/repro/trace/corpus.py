@@ -309,32 +309,39 @@ class TraceCorpus:
         (:class:`~repro.workloads.replay.ReplayWorkload`) and split into
         shards whose chain is replayed once
         (:class:`~repro.trace.shard.ShardedReplay`, inside the task) —
-        and compares both the functional profile digest and the
-        detailed full-run digest (:func:`full_run_digest`) exactly.  The
-        full-run leg is what makes the backend axis bite, since the
-        hierarchy backends only diverge in detailed simulation.  Tasks
-        run in parallel under the fault-tolerant fan-out; a digest
-        mismatch is a *result*, not an exception, so one non-conforming
-        entry never hides the rest of the sweep.
+        and compares the detailed full-run digests
+        (:func:`full_run_digest`) exactly.  The full-run leg is what
+        makes the backend axis bite, since the hierarchy backends only
+        diverge in detailed simulation.  Functional profiles are
+        backend-independent, so each entry's profile leg (unsharded vs.
+        shard-chain profile digest) runs once, in the task of the first
+        backend in sorted order, and its two digests are copied into
+        every backend's verdict of that entry.  Tasks run in parallel
+        under the fault-tolerant fan-out; a digest mismatch is a
+        *result*, not an exception, so one non-conforming entry never
+        hides the rest of the sweep.
 
         Args:
             num_shards: Shard count of the sharded leg (>= 1; capped per
                 entry at its region count).
             workers: Process count (<= 1 = serial).
             backends: Hierarchy backends to sweep (default: all
-                registered, sorted).
+                registered, sorted); non-empty, registered names only.
             retry: Optional retry-policy override.
             report: Optional :class:`~repro.experiments.common.RunReport`
                 to accumulate into.
 
         Returns:
             One dict per (entry, backend): ``label``, ``backend``,
-            ``fingerprint``, ``unsharded``/``sharded`` profile digests,
+            ``fingerprint``, the entry's ``unsharded``/``sharded``
+            profile digests, the backend's
             ``unsharded_full``/``sharded_full`` detailed-run digests,
             and ``ok`` (both pairs equal).
 
         Raises:
-            ConfigError: When ``num_shards`` < 1 (before any replay).
+            ConfigError: When ``num_shards`` < 1, or ``backends`` is
+                empty or names an unregistered backend (before any
+                replay).
             TraceFormatError: When the manifest or any entry's trace is
                 missing/corrupt.
             RetryExhaustedError: When a task kept failing through its
@@ -346,13 +353,18 @@ class TraceCorpus:
             RetryPolicy,
             RunReport,
         )
-        from repro.mem.backends import backend_names
+        from repro.mem.backends import backend_names, hierarchy_backend
         from repro.store import ArtifactStore
 
         if num_shards < 1:
             raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         if backends is None:
             backends = tuple(sorted(backend_names()))
+        if not backends:
+            raise ConfigError("backends must name at least one backend")
+        for backend in backends:
+            hierarchy_backend(backend)  # ConfigError for an unknown name
+        profiler = min(backends)
         entries = self.entries()
         tasks = []
         for entry in entries:
@@ -366,7 +378,7 @@ class TraceCorpus:
                     ),
                     label=label,
                     args=(str(path), backend, entry.num_threads,
-                          num_shards),
+                          num_shards, backend == profiler),
                     meta={"label": entry.label, "backend": backend,
                           "fingerprint": entry.fingerprint},
                 ))
@@ -376,17 +388,22 @@ class TraceCorpus:
             report=report if report is not None else RunReport(),
         )
         results = fanout.run(tasks)
+        profiles = {
+            task.meta["fingerprint"]: results[task.key]
+            for task in tasks if task.meta["backend"] == profiler
+        }
         verdicts = []
         for task in tasks:
-            digests = results[task.key]
+            prof = profiles[task.meta["fingerprint"]]
+            full = results[task.key]
             verdicts.append(dict(
                 task.meta,
-                unsharded=digests["unsharded"],
-                sharded=digests["sharded"],
-                unsharded_full=digests["unsharded_full"],
-                sharded_full=digests["sharded_full"],
-                ok=(digests["unsharded"] == digests["sharded"]
-                    and digests["unsharded_full"] == digests["sharded_full"]),
+                unsharded=prof["unsharded"],
+                sharded=prof["sharded"],
+                unsharded_full=full["unsharded_full"],
+                sharded_full=full["sharded_full"],
+                ok=(prof["unsharded"] == prof["sharded"]
+                    and full["unsharded_full"] == full["sharded_full"]),
             ))
         return verdicts
 
@@ -418,9 +435,16 @@ def conformance_machine(num_threads: int, backend: str):
 
 
 def _verify_conformance_task(
-    trace_path: str, backend: str, num_threads: int, num_shards: int
+    trace_path: str, backend: str, num_threads: int, num_shards: int,
+    want_profiles: bool,
 ) -> dict:
     """Pool worker: one entry × backend differential-conformance check.
+
+    Replays the trace unsharded and as a shard chain (split into this
+    task's own temp dir) on ``backend``'s conformance machine, running
+    the detailed full simulation of each.  The profile leg is
+    backend-independent, so :meth:`TraceCorpus.verify` asks for it
+    (``want_profiles``) from one task per entry only.
 
     Args:
         trace_path: The entry's ``.rpt`` file.
@@ -428,11 +452,14 @@ def _verify_conformance_task(
         num_threads: The trace's thread count.
         num_shards: Shard count of the sharded leg (capped at the
             trace's region count).
+        want_profiles: Also digest the functional profiles of both
+            replays.
 
     Returns:
-        ``{"unsharded", "sharded"}`` profile digests plus
         ``{"unsharded_full", "sharded_full"}`` detailed-run digests of
-        the plain replay and of the shard-chain replay.
+        the plain replay and of the shard-chain replay, plus
+        ``{"unsharded", "sharded"}`` profile digests when
+        ``want_profiles``.
     """
     from repro.core.pipeline import BarrierPointPipeline
     from repro.profiling.profiler import profiles_digest
@@ -441,26 +468,24 @@ def _verify_conformance_task(
 
     machine = conformance_machine(num_threads, backend)
     pipe = BarrierPointPipeline(machine)
+    digests = {}
     replay = ReplayWorkload(trace_path)
     try:
         shards = min(num_shards, replay.num_regions)
-        unsharded = profiles_digest(pipe.profile(replay))
-        unsharded_full = full_run_digest(pipe.full_run(replay))
+        if want_profiles:
+            digests["unsharded"] = profiles_digest(pipe.profile(replay))
+        digests["unsharded_full"] = full_run_digest(pipe.full_run(replay))
     finally:
         replay.close()
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-verify-"))
     try:
         shard_paths = split_trace(trace_path, workdir, num_shards=shards)
         profiles, full = ShardedReplay(shard_paths, machine).run(
-            want_profiles=True, want_full=True
+            want_profiles=want_profiles, want_full=True
         )
-        sharded = profiles_digest(profiles)
-        sharded_full = full_run_digest(full)
+        if want_profiles:
+            digests["sharded"] = profiles_digest(profiles)
+        digests["sharded_full"] = full_run_digest(full)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return {
-        "unsharded": unsharded,
-        "sharded": sharded,
-        "unsharded_full": unsharded_full,
-        "sharded_full": sharded_full,
-    }
+    return digests

@@ -57,6 +57,25 @@ def _isolated_artifact_store(tmp_path_factory):
         os.environ["REPRO_STORE_DIR"] = previous
 
 
+def break_chain_profiles(monkeypatch, workload: str) -> None:
+    """Make shard-chain replays of ``workload`` drop their last region
+    profile, so the corpus sweep's profile digests of that entry differ.
+    """
+    from repro.trace.capture import TraceReader
+    from repro.trace.shard import ShardedReplay
+
+    real_run = ShardedReplay.run
+
+    def run(self, want_profiles=True, want_full=False):
+        profiles, full = real_run(self, want_profiles, want_full)
+        with TraceReader(self.paths[0]) as reader:
+            if profiles and reader.meta["workload"] == workload:
+                profiles = profiles[:-1]
+        return profiles, full
+
+    monkeypatch.setattr(ShardedReplay, "run", run)
+
+
 def tiny_machine(num_sockets: int = 1, cores_per_socket: int = 4) -> MachineConfig:
     """A very small machine: 4 cores/socket, tiny caches, fast to simulate."""
     return MachineConfig(

@@ -395,6 +395,32 @@ def test_trace_corpus_command_group(fuzz_corpus, capsys):
     assert excinfo.value.code == 2
 
 
+def test_trace_corpus_verify_reports_mismatch(
+    fuzz_corpus, capsys, monkeypatch
+):
+    """A chain profile digest that differs exits 1 with VERIFY FAILED
+    and a MISMATCH row for every backend of that entry only."""
+    from repro.mem.backends import backend_names
+    from tests.conftest import break_chain_profiles
+
+    assert cli.main([
+        "trace", "corpus", "record", "2", "--threads", "2",
+        "--scale", "0.05",
+    ]) == 0
+    capsys.readouterr()
+    break_chain_profiles(monkeypatch, "fuzz-1")
+    assert cli.main(["trace", "corpus", "verify"]) == 1
+    captured = capsys.readouterr()
+    backends = len(backend_names())
+    assert f"VERIFY FAILED: {backends} of {2 * backends} checks" in captured.err
+    rows = [line for line in captured.out.splitlines()
+            if line.endswith((" ok", " MISMATCH"))]
+    assert len(rows) == 2 * backends
+    for row in rows:
+        assert row.endswith(" MISMATCH") == row.startswith("fuzz-1/2t")
+    assert "verify OK" not in captured.out
+
+
 def test_trace_corpus_replay_rejects_nonpositive_shards(fuzz_corpus, capsys):
     assert cli.main([
         "trace", "corpus", "replay", "fuzz-1/2t", "--shards", "-4",

@@ -570,6 +570,33 @@ class TestShardedReplayFaults:
         assert [t.attempts for t in report.tasks] == [2]
         assert "InjectedFaultError" in report.tasks[0].errors[0]
 
+    def test_runner_task_fault_on_profile_tasks_recovers_in_corpus_verify(
+        self, tmp_path
+    ):
+        """The first-backend task of each entry also carries the entry's
+        profile leg; a one-shot runner.task fault on exactly those tasks
+        retries them, and the verdicts equal the clean sweep's."""
+        from repro.trace.corpus import TraceCorpus
+
+        corpus = TraceCorpus(ArtifactStore(root=tmp_path / "store"))
+        corpus.record_fuzz_range([1, 2, 3, 4], num_threads=2, scale=0.05)
+        clean = corpus.verify()
+
+        install_plan(FaultPlan.parse(
+            "runner.task:exception:max_attempts=1,match=@complex", seed=3
+        ))
+        report = RunReport()
+        verdicts = corpus.verify(
+            report=report, retry=RetryPolicy(max_retries=2, **FAST),
+        )
+        assert verdicts == clean
+        assert all(v["ok"] for v in verdicts)
+        retried = {t.label: t.attempts for t in report.tasks
+                   if t.attempts != 1}
+        assert retried == {f"fuzz-{seed}/2t@complex": 2
+                           for seed in (1, 2, 3, 4)}
+        assert len(report.tasks) == 16
+
     def test_runner_task_fault_recovers_bit_identically(self, shards):
         """The runner.task site covers the shard-chain task exactly like
         experiment passes."""

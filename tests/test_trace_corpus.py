@@ -114,14 +114,85 @@ class TestConformanceSweep:
             assert r["unsharded_full"] == r["sharded_full"]
 
     def test_full_digests_differentiate_backends(self, corpus):
-        """Profiles are backend-independent; detailed runs are not —
-        the backend axis of the sweep is only meaningful because the
-        full-run digest differs across hierarchy backends."""
+        """Every backend row of an entry carries the entry's one pair of
+        profile digests, but its own detailed-run digests — the backend
+        axis of the sweep is only meaningful because the full-run digest
+        differs across hierarchy backends."""
         results = corpus.verify()
         label = results[0]["label"]
         mine = [r for r in results if r["label"] == label]
         assert len({r["unsharded"] for r in mine}) == 1
         assert len({r["unsharded_full"] for r in mine}) == len(BACKENDS)
+
+    def test_profiles_are_backend_independent(self, corpus):
+        """The property the sweep's profile-once-per-entry leg relies on:
+        one entry profiles to the same digest on every backend's
+        conformance machine."""
+        from repro.core.pipeline import BarrierPointPipeline
+        from repro.profiling.profiler import profiles_digest
+        from repro.workloads.replay import ReplayWorkload
+
+        entry = corpus.entries()[0]
+        digests = set()
+        for backend in BACKENDS:
+            pipe = BarrierPointPipeline(
+                conformance_machine(entry.num_threads, backend)
+            )
+            replay = ReplayWorkload(corpus.resolve(entry))
+            try:
+                digests.add(profiles_digest(pipe.profile(replay)))
+            finally:
+                replay.close()
+        assert len(digests) == 1
+
+    def test_profiles_each_entry_once(self, corpus, monkeypatch):
+        """A serial sweep profiles each trace twice (unsharded + chain),
+        not twice per (entry, backend)."""
+        from repro.profiling.profiler import FunctionalProfiler
+
+        calls = []
+        real_profile = FunctionalProfiler.profile
+
+        def profile(self, *args, **kwargs):
+            calls.append(1)
+            return real_profile(self, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionalProfiler, "profile", profile)
+        results = corpus.verify()
+        assert len(results) == len(corpus.entries()) * len(BACKENDS)
+        assert len(calls) == 2 * len(corpus.entries())
+
+    def test_profile_mismatch_fails_every_backend_row_of_the_entry(
+        self, corpus, monkeypatch
+    ):
+        """A chain profile that differs from the unsharded one marks all
+        of that entry's backend rows, and only those, not ok."""
+        from tests.conftest import break_chain_profiles
+
+        victim = corpus.entries()[0]
+        break_chain_profiles(monkeypatch, victim.workload)
+        results = corpus.verify()
+        assert len(results) == len(corpus.entries()) * len(BACKENDS)
+        for r in results:
+            mine = r["fingerprint"] == victim.fingerprint
+            assert r["ok"] is not mine
+            assert (r["unsharded"] == r["sharded"]) is not mine
+            assert r["unsharded_full"] == r["sharded_full"]
+        assert {r["backend"] for r in results if not r["ok"]} == set(BACKENDS)
+
+    @pytest.mark.parametrize("backends, match", [
+        ((), "at least one backend"),
+        (("inclusive", "bogus"), "unknown hierarchy backend 'bogus'"),
+    ], ids=["empty", "unknown"])
+    def test_bad_backends_rejected_before_any_work(
+        self, corpus, backends, match
+    ):
+        """An empty or unknown backend list is one ConfigError up front,
+        not an empty result or a retried task failure."""
+        report = RunReport()
+        with pytest.raises(ConfigError, match=match):
+            corpus.verify(backends=backends, report=report)
+        assert report.tasks == []
 
     @pytest.mark.parametrize("bad", [0, -4])
     def test_nonpositive_shard_count_rejected_before_any_work(
