@@ -225,7 +225,11 @@ class ReferenceMemoryHierarchy(MemoryHierarchy):
             mlp=1.0,
         )
 
-    def replay_block(self, core: int, lines, writes) -> None:
-        """Per-line seed replay (the batched path under measurement)."""
-        for line, was_write in zip(lines, writes):
+    def replay_block(self, cores, lines, writes) -> None:
+        """Per-line seed replay of a ``(core, line, write)`` stream.
+
+        The oracle of the one-call batched path: each entry is replayed
+        on its own through :meth:`replay`, in column order.
+        """
+        for core, line, was_write in zip(cores, lines, writes, strict=True):
             self.replay(core, line, was_write)

@@ -36,6 +36,7 @@ from repro.experiments import battery
 from repro.machines import machine_summary
 from repro.store import ArtifactStore, janitor
 from repro.util.tables import format_table
+from repro.util.timing import ReportWriter
 
 
 def _runner_or_error(
@@ -919,7 +920,9 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         paths = [str(bench_dir)]
     import pytest
 
-    return pytest.main([*paths, "-x", "-q"])
+    # The writer plugin is what lets the perf benchmark write
+    # BENCH_perf*.json; a plain pytest session writes nothing.
+    return pytest.main([*paths, "-x", "-q"], plugins=[ReportWriter()])
 
 
 def cmd_clean(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

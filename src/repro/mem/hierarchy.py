@@ -19,17 +19,23 @@ write-through to L3 for accounting); store *timing* is still charged at the
 core via the interval model, and DRAM writeback bandwidth is charged when a
 modified line leaves an L3 or is downgraded by a remote reader.
 
-``access_block`` is the hot path: it processes a whole reference stream of
-one :class:`~repro.trace.program.BlockExec` against dict-based O(1) LRU
-sets, with all per-core invariants (set tables, masks, latencies) bound
-once per core in ``_ctx`` and all statistics accumulated in locals that
-are flushed once per call.  Keep it free of per-access allocations and
-attribute lookups.
+``_access_stream`` is the hot path and the one copy of the access loop: it
+processes a stream of ``(core, line, write)`` references against dict-based
+O(1) LRU sets, with all per-core invariants (set tables, masks, latencies)
+bound once per core in ``_ctx`` and unpacked only when the stream's core
+changes.  Per-cache hit/miss/eviction counts live in locals flushed into
+the outgoing core's ``CacheStats`` at each core change; every other
+statistic is flushed once per call.  ``access_block`` runs it with a
+constant core over one :class:`~repro.trace.program.BlockExec`'s
+references; ``replay_block`` runs a whole warmup replay — one core column,
+cores switching on almost every entry — in one call.  Keep it free of
+per-access allocations and attribute lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import repeat
 
 from repro.config import MachineConfig
 from repro.errors import ConfigError, SimulationError
@@ -42,6 +48,11 @@ _STORE_STALL_FRACTION = 0.3  # store misses retire through the store buffer
 
 #: Sentinel distinguishing "absent" from a stored value in ``dict.pop``.
 _MISS = object()
+
+
+def _as_list(column) -> list:
+    """A reference column as a plain list (numpy arrays are converted)."""
+    return column if type(column) is list else column.tolist()
 
 
 class AccessCounters:
@@ -258,7 +269,7 @@ class MemoryHierarchy:
             )
             for core in range(n_cores)
         ]
-        # Per-core hot-path context: everything ``access_block`` needs,
+        # Per-core hot-path context: everything ``_access_stream`` needs,
         # bound once (caches are flushed in place, never replaced, so the
         # bindings stay valid for the hierarchy's lifetime).
         self._ctx = []
@@ -311,7 +322,7 @@ class MemoryHierarchy:
         """Evict the LRU victim of one L3 set (off-hot-path form).
 
         The readable counterpart of the victim handling that
-        ``access_block`` keeps inlined for speed (see the "keep in sync"
+        ``_access_stream`` keeps inlined for speed (see the "keep in sync"
         note there): on the inclusive backends, the domain-local owner
         writes back through the domain's socket and the victim is purged
         from the domain's private caches (sharers outside the domain keep
@@ -390,21 +401,65 @@ class MemoryHierarchy:
     def access_block(self, core, lines, writes, mlp: float) -> float:
         """Process one block's reference stream; returns stall cycles.
 
-        ``lines``/``writes`` may be numpy arrays or plain lists.  The
-        returned stalls are the sum of beyond-L1 latencies divided by
-        the block's memory-level parallelism (interval-model style); store
-        latencies are further scaled by the store-buffer fraction.
-        Cross-core transfers pay the extra cycles of their hop's latency
-        class and are counted per class.
+        ``lines``/``writes`` may be numpy arrays or plain lists of equal
+        length.  The returned stalls are the sum of beyond-L1 latencies
+        divided by the block's memory-level parallelism (interval-model
+        style); store latencies are further scaled by the store-buffer
+        fraction.  Cross-core transfers pay the extra cycles of their
+        hop's latency class and are counted per class.
+
+        Raises:
+            SimulationError: For a core outside the machine, columns of
+                unequal length, or ``mlp < 1``.
+        """
+        lines = _as_list(lines)
+        writes = _as_list(writes)
+        if not 0 <= core < len(self._ctx) or len(lines) != len(writes):
+            # Inline guard (one call per simulated block); the full check
+            # names the fault.
+            self._check_stream(core, core, len(lines), len(writes))
+        return self._access_stream(repeat(core), lines, writes, mlp)
+
+    def _check_stream(self, lo: int, hi: int, *lengths: int) -> None:
+        """Reject core indices outside the machine and ragged columns.
+
+        Args:
+            lo: The smallest core index of the stream.
+            hi: The largest core index of the stream.
+            *lengths: The length of each of the stream's columns.
+
+        Raises:
+            SimulationError: When ``lo`` or ``hi`` is not in
+                ``[0, num_cores)`` or the column lengths differ.
+        """
+        num_cores = len(self._ctx)
+        if lo < 0 or hi >= num_cores:
+            raise SimulationError(
+                f"core {lo if lo < 0 else hi} out of range for a "
+                f"{num_cores}-core machine"
+            )
+        if min(lengths) != max(lengths):
+            raise SimulationError(
+                f"reference columns differ in length: {lengths}"
+            )
+
+    def _access_stream(self, cores, lines, writes, mlp: float) -> float:
+        """The one access loop: ``(core, line, write)`` triples in order.
+
+        Every public access path runs through here — ``access_block``
+        with a constant core, ``replay_block`` with a per-reference core
+        column — so there is one copy of the probe/fill/coherence body.
+        The per-core context is unpacked only when the core changes, and
+        the outgoing core's L1/L2/L3 hit/miss/eviction counts are flushed
+        into its ``CacheStats`` at that point; every other counter is
+        flushed once per call.  Callers validate the columns.
+
+        Returns:
+            The stall cycles of the stream (see :meth:`access_block`).
         """
         if mlp < 1.0:
             raise SimulationError(f"mlp must be >= 1, got {mlp}")
-        (domain, socket,
-         l1_stats, l1_sets, l1_mask, l1_assoc,
-         l2_stats, l2_sets, l2_mask, l2_assoc,
-         l3_stats, l3_sets, l3_mask, l3_assoc,
-         l2_lat, l3_lat, dram_lat, hop_row, my_bit,
-         domain_mask) = self._ctx[core]
+        ctx = self._ctx
         directory = self.directory
         dir_sharers = directory._sharers
         dir_owner = directory._owner
@@ -431,11 +486,29 @@ class MemoryHierarchy:
         invals_sent = downgrades = c2c_dir = 0
         stall = 0.0
 
-        if type(lines) is not list:
-            lines = lines.tolist()
-        if type(writes) is not list:
-            writes = writes.tolist()
-        for line, w in zip(lines, writes):
+        bound = -1
+        for core, line, w in zip(cores, lines, writes):
+            if core != bound:
+                if bound >= 0:
+                    l1_stats.hits += l1_hits
+                    l1_stats.misses += l1_missc
+                    l1_stats.evictions += l1_evic
+                    l2_stats.hits += l2_hits
+                    l2_stats.misses += l2_missc
+                    l2_stats.evictions += l2_evic
+                    l3_stats.hits += l3_hits
+                    l3_stats.misses += l3_missc
+                    l3_stats.evictions += l3_evic
+                    l1_hits = l1_missc = l1_evic = 0
+                    l2_hits = l2_missc = l2_evic = 0
+                    l3_hits = l3_missc = l3_evic = 0
+                bound = core
+                (domain, socket,
+                 l1_stats, l1_sets, l1_mask, l1_assoc,
+                 l2_stats, l2_sets, l2_mask, l2_assoc,
+                 l3_stats, l3_sets, l3_mask, l3_assoc,
+                 l2_lat, l3_lat, dram_lat, hop_row, my_bit,
+                 domain_mask) = ctx[core]
             extra = 0
             if w:
                 stores += 1
@@ -606,15 +679,16 @@ class MemoryHierarchy:
         self._intra_c2c += intra_c2c
         self._xcomplex_c2c += xcomplex_c2c
         self._xsocket_c2c += xsocket_c2c
-        l1_stats.hits += l1_hits
-        l1_stats.misses += l1_missc
-        l1_stats.evictions += l1_evic
-        l2_stats.hits += l2_hits
-        l2_stats.misses += l2_missc
-        l2_stats.evictions += l2_evic
-        l3_stats.hits += l3_hits
-        l3_stats.misses += l3_missc
-        l3_stats.evictions += l3_evic
+        if bound >= 0:
+            l1_stats.hits += l1_hits
+            l1_stats.misses += l1_missc
+            l1_stats.evictions += l1_evic
+            l2_stats.hits += l2_hits
+            l2_stats.misses += l2_missc
+            l2_stats.evictions += l2_evic
+            l3_stats.hits += l3_hits
+            l3_stats.misses += l3_missc
+            l3_stats.evictions += l3_evic
         dir_stats.invalidations_sent += invals_sent
         dir_stats.downgrades += downgrades
         dir_stats.cache_to_cache += c2c_dir
@@ -650,22 +724,35 @@ class MemoryHierarchy:
 
     def replay(self, core: int, line: int, was_write: bool) -> None:
         """Warmup replay of one captured line (latency discarded)."""
-        self.replay_block(core, [line], [was_write])
+        self.replay_block([core], [line], [was_write])
 
-    def replay_block(self, core: int, lines, writes) -> None:
-        """Warmup replay of a batch of captured lines for one core.
+    def replay_block(self, cores, lines, writes) -> None:
+        """Warmup replay of a captured ``(core, line, write)`` stream.
 
-        ``lines``/``writes`` may be lists or numpy arrays; semantically
-        identical to calling :meth:`replay` per entry, without the
-        per-line call overhead.  Prefetching backends are suppressed for
-        the duration: replay is checkpoint-style state *reconstruction*,
-        so only the captured lines themselves may be installed — a
-        speculative next-line fill would evict genuinely captured state.
+        The three equal-length columns may be lists or numpy arrays and
+        may switch cores on every entry; the stream runs through the
+        access loop in one call, semantically identical to calling
+        :meth:`replay` per entry.  Prefetching backends are suppressed
+        for the duration: replay is checkpoint-style state
+        *reconstruction*, so only the captured lines themselves may be
+        installed — a speculative next-line fill would evict genuinely
+        captured state.
+
+        Raises:
+            SimulationError: For a core outside the machine or columns
+                of unequal length.
         """
+        cores = _as_list(cores)
+        lines = _as_list(lines)
+        writes = _as_list(writes)
+        self._check_stream(
+            min(cores, default=0), max(cores, default=0),
+            len(cores), len(lines), len(writes),
+        )
         saved_degree = self.prefetch_degree
         self.prefetch_degree = 0
         try:
-            self.access_block(core, lines, writes, mlp=1.0)
+            self._access_stream(cores, lines, writes, mlp=1.0)
         finally:
             self.prefetch_degree = saved_degree
 

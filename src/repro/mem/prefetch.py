@@ -47,7 +47,7 @@ class NextLinePrefetchHierarchy(MemoryHierarchy):
         """Issue next-line prefetches for one demand L2 miss.
 
         Runs off the hot path (only on L2 misses of this backend), so it
-        favors clarity over the inlined style of ``access_block``.
+        favors clarity over the inlined style of ``_access_stream``.
         """
         domain = self._domain_of[core]
         socket = self._domain_socket[domain]

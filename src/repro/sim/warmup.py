@@ -16,6 +16,7 @@ taking a barrierpoint's metrics directly from the full-program run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Protocol
 
 from repro.errors import SimulationError
@@ -84,7 +85,14 @@ class MRUWarmup:
     replay_cost_per_line: float = field(default=1.0)
 
     def prepare(self, hierarchy: MemoryHierarchy, region_index: int) -> None:
-        """Flush, then replay each core's MRU lines in execution order."""
+        """Flush, then replay the cores' MRU lines round-robin in one call.
+
+        The replay stream interleaves the per-core captures cursor-major,
+        core-minor (entry 0 of every core, then entry 1, ...), skipping
+        cores whose capture is exhausted, and goes to
+        :meth:`MemoryHierarchy.replay_block` as one ``(core, line, write)``
+        column triple.
+        """
         if region_index != self.data.region_index:
             raise SimulationError(
                 f"warmup data is for region {self.data.region_index}, "
@@ -118,38 +126,44 @@ class MRUWarmup:
         streams_per_socket = [0] * machine.num_sockets
         for stream_index in range(len(self.data.per_core)):
             streams_per_socket[machine.socket_of(stream_index)] += 1
-        streams: list[tuple[list[int], list[bool]]] = []
+        cores: list[list[int]] = []
+        lines: list[list[int]] = []
+        writes: list[list[bool]] = []
         for stream_index, core_data in enumerate(self.data.per_core):
             sharers = max(
                 1, streams_per_socket[machine.socket_of(stream_index)]
             )
             dirty_window = max(1, llc_lines // sharers)
             clean_until = len(core_data) - dirty_window
-            streams.append((
-                [line for line, _ in core_data],
-                [
-                    (was_write if i >= clean_until else False)
-                    for i, (_, was_write) in enumerate(core_data)
-                ],
-            ))
-        # Consecutive same-core entries of the interleaving are replayed
-        # through the batched path in one call.
-        replay_block = hierarchy.replay_block
-        group_core = -1
-        group_lines: list[int] = []
-        group_writes: list[bool] = []
-        rounds = max((len(s[0]) for s in streams), default=0)
-        for cursor in range(rounds):
-            for core, (lines, writes) in enumerate(streams):
-                if cursor >= len(lines):
-                    continue
-                if core != group_core:
-                    if group_lines:
-                        replay_block(group_core, group_lines, group_writes)
-                    group_core = core
-                    group_lines = []
-                    group_writes = []
-                group_lines.append(lines[cursor])
-                group_writes.append(writes[cursor])
-        if group_lines:
-            replay_block(group_core, group_lines, group_writes)
+            cores.append([stream_index] * len(core_data))
+            lines.append([line for line, _ in core_data])
+            writes.append([
+                (was_write if i >= clean_until else False)
+                for i, (_, was_write) in enumerate(core_data)
+            ])
+        hierarchy.replay_block(
+            _round_robin(cores), _round_robin(lines), _round_robin(writes)
+        )
+
+
+def _round_robin(columns: list[list]) -> list:
+    """Interleave per-core columns cursor-major, core-minor.
+
+    Entry ``i`` of every column that has one comes before entry ``i + 1``
+    of any, in column order; exhausted columns are skipped.  Between two
+    consecutive distinct column lengths the set of live columns is fixed,
+    so each such span interleaves in one ``zip``.
+
+    Args:
+        columns: One list per core.
+
+    Returns:
+        The interleaved flat list.
+    """
+    out: list = []
+    start = 0
+    for stop in sorted({len(column) for column in columns}):
+        live = [c[start:stop] for c in columns if len(c) >= stop]
+        out.extend(chain.from_iterable(zip(*live)))
+        start = stop
+    return out

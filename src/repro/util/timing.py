@@ -3,6 +3,9 @@
 ``benchmarks/test_perf.py`` uses these to time the fast engines against
 their seed references and to persist a machine-readable perf trajectory in
 ``benchmarks/results/BENCH_perf.json`` that future PRs must not regress.
+Only ``repro bench`` writes that file: it registers a :class:`ReportWriter`
+with the pytest session, and a plain ``pytest`` run (which has none)
+prints and checks the timings but writes nothing.
 """
 
 from __future__ import annotations
@@ -157,3 +160,21 @@ class BenchmarkReport:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return payload
+
+
+class ReportWriter:
+    """pytest plugin whose presence lets the perf benchmark write its report.
+
+    ``repro bench`` passes one to ``pytest.main(..., plugins=[...])``; the
+    perf benchmark's ``report`` fixture writes ``BENCH_perf*.json`` only
+    when the session has one registered, so tier-1 ``pytest`` runs leave
+    ``benchmarks/results/`` untouched.  It defines no hooks.
+    """
+
+    @staticmethod
+    def registered(config: Any) -> bool:
+        """Whether a pytest ``config``'s session has a writer registered."""
+        return any(
+            isinstance(plugin, ReportWriter)
+            for plugin in config.pluginmanager.get_plugins()
+        )

@@ -183,7 +183,7 @@ def bench_sandbox(monkeypatch):
     calls: list[dict] = []
     monkeypatch.setattr(
         pytest_module, "main",
-        lambda args: calls.append(
+        lambda args, plugins=(): calls.append(
             {"args": args,
              "env": {n: os.environ.get(n) for n in BENCH_ENV}}
         ) or 0,
@@ -233,6 +233,47 @@ def test_bench_default_targets_whole_directory(bench_sandbox):
     assert cli.main(["bench"]) == 0
     (call,) = bench_sandbox
     assert call["args"] == ["benchmarks", "-x", "-q"]
+
+
+def test_only_repro_bench_writes_the_perf_report(tmp_path):
+    """A plain pytest session over the perf benchmark prints and checks
+    its numbers but writes no ``BENCH_perf*.json``; ``repro bench perf``
+    on the same checkout writes the report."""
+    import os
+    import pathlib
+    import shutil
+    import subprocess
+    import sys
+
+    repo_root = pathlib.Path(cli.__file__).resolve().parents[2]
+    bench_dir = tmp_path / "benchmarks"
+    bench_dir.mkdir()
+    for name in ("conftest.py", "test_perf.py"):
+        shutil.copy(repo_root / "benchmarks" / name, bench_dir / name)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(repo_root / "src"),
+        "REPRO_STORE": "0",
+        "REPRO_BENCH_SCALE": "0.05",
+        "REPRO_BENCH_WORKLOADS": "npb-is",
+        "REPRO_BENCH_MIN_SPEEDUP": "0",
+        "REPRO_BENCH_REPEAT": "1",
+    }
+    plain = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "benchmarks/test_perf.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert plain.returncode == 0, plain.stdout + plain.stderr
+    assert "combined profile+full_run speedup" in plain.stdout
+    assert not (bench_dir / "results").exists()
+    bench = subprocess.run(
+        [sys.executable, "-m", "repro", "bench", "perf"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert bench.returncode == 0, bench.stdout + bench.stderr
+    written = sorted(p.name for p in (bench_dir / "results").iterdir())
+    assert written == ["BENCH_perf_scale-0.05.json"]
 
 
 # ---------------------------------------------------------------------------

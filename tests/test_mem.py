@@ -269,6 +269,50 @@ class TestMemoryHierarchy:
         with pytest.raises(SimulationError):
             h.access_block(0, lines, writes, mlp=0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda h: h.replay_block([-1], [5], [True]),
+        lambda h: h.replay(-1, 5, True),
+        lambda h: h.access_block(-1, [5], [True], 1.0),
+        lambda h: h.replay_block([0, 3, -1, 2], [5, 6, 7, 8], [True] * 4),
+    ], ids=["replay_block", "replay", "access_block", "mid-column"])
+    def test_negative_core_rejected(self, call):
+        """A negative core used to index ``_ctx`` from the end: line 5
+        landed in core 7's L1 with neither owner nor sharer recorded."""
+        from repro.errors import SimulationError
+
+        h = MemoryHierarchy(tiny_machine(num_sockets=2))  # 8 cores
+        with pytest.raises(SimulationError, match="core -1 out of range"):
+            call(h)
+        assert not h.l1d[7].contains(5)
+        assert h.directory.owner(5) == -1
+
+    @pytest.mark.parametrize("call", [
+        lambda h: h.replay_block([0, 8], [5, 6], [True, False]),
+        lambda h: h.access_block(8, [5], [True], 1.0),
+    ], ids=["replay_block", "access_block"])
+    def test_core_past_machine_rejected(self, call):
+        from repro.errors import SimulationError
+
+        h = MemoryHierarchy(tiny_machine(num_sockets=2))  # 8 cores
+        with pytest.raises(SimulationError, match="core 8 out of range"):
+            call(h)
+
+    @pytest.mark.parametrize("call", [
+        lambda h: h.access_block(0, [1, 2, 3], [True], 1.0),
+        lambda h: h.access_block(0, np.array([1]), np.array([True, False]), 1.0),
+        lambda h: h.replay_block([0, 1], [1, 2, 3], [True, True, True]),
+        lambda h: h.replay_block([0, 1, 2], [1, 2, 3], [True]),
+    ], ids=["access_block", "access_block-arrays", "replay_block-cores",
+            "replay_block-writes"])
+    def test_column_length_mismatch_rejected(self, call):
+        """``zip`` used to truncate to the shortest column silently."""
+        from repro.errors import SimulationError
+
+        h = MemoryHierarchy(tiny_machine())
+        with pytest.raises(SimulationError, match="differ in length"):
+            call(h)
+        assert h.snapshot().accesses == 0
+
     def test_l3_inclusion_purges_private_copies(self):
         machine = tiny_machine()  # L3 = 512 lines
         h = MemoryHierarchy(machine)

@@ -297,8 +297,16 @@ class TestHierarchyParity:
                     ref.access_block(core, lines, writes, mlp)
                 replay = rng.integers(0, 2000, size=40).astype(np.int64)
                 rwrites = rng.random(40) < 0.3
-                fast.replay_block(core, replay, rwrites)
-                ref.replay_block(core, replay, rwrites)
+                fast.replay_block([core] * 40, replay, rwrites)
+                ref.replay_block([core] * 40, replay, rwrites)
+                # Interleaved multi-core columns: the core changes on most
+                # entries, across both sockets, with runs mixed in.
+                rcores = rng.integers(0, 8, size=120)
+                rcores[40:60] = rcores[40]
+                replay = rng.integers(0, 2000, size=120).astype(np.int64)
+                rwrites = rng.random(120) < 0.3
+                fast.replay_block(rcores, replay, rwrites)
+                ref.replay_block(rcores.tolist(), replay, rwrites)
             self._assert_hierarchy_state_equal(fast, ref)
             fast.flush_all()
             ref.flush_all()
@@ -313,8 +321,8 @@ class TestHierarchyParity:
         ref = ReferenceMemoryHierarchy(machine)
         for _ in range(3):
             for core, lines, writes, _mlp in _fuzz_batches(41, 8, 12):
-                fast.replay_block(core, lines, writes)
-                ref.replay_block(core, lines, writes)
+                fast.replay_block([core] * len(lines), lines, writes)
+                ref.replay_block([core] * len(lines), lines, writes)
             assert fast.snapshot().prefetches == 0
             self._assert_hierarchy_state_equal(fast, ref)
             fast.flush_all()

@@ -1,11 +1,15 @@
 """Tests for warmup strategies: cold flush and MRU replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import TopologyConfig
 from repro.errors import SimulationError
+from repro.mem.backends import backend_names, hierarchy_backend
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.sim.warmup import ColdWarmup, MRUWarmup, MRUWarmupData
+from repro.sim.warmup import ColdWarmup, MRUWarmup, MRUWarmupData, _round_robin
 from tests.conftest import tiny_machine
 
 
@@ -185,3 +189,122 @@ class TestMRUWarmup:
         MRUWarmup(data).prepare(h, 3)
         for core, line in enumerate((1, 2, 3, 4)):
             assert h.l1d[core].contains(line)
+
+
+def _oracle_prepare(hierarchy, per_core):
+    """The round-robin MRU replay written out one entry at a time.
+
+    Flush, then replay entry ``cursor`` of every core's capture (cores in
+    order, exhausted captures skipped) before entry ``cursor + 1`` of
+    any, each through ``hierarchy.replay``.  Writes older than the
+    core's dirty window — the socket's L3 lines divided by the captures
+    mapped to that socket — replay as clean reads.
+    """
+    machine = hierarchy.machine
+    hierarchy.flush_all()
+    per_socket = [0] * machine.num_sockets
+    for core in range(len(per_core)):
+        per_socket[machine.socket_of(core)] += 1
+    clean_until = [
+        len(stream) - max(
+            1, machine.l3.num_lines // per_socket[machine.socket_of(core)]
+        )
+        for core, stream in enumerate(per_core)
+    ]
+    for cursor in range(max((len(s) for s in per_core), default=0)):
+        for core, stream in enumerate(per_core):
+            if cursor < len(stream):
+                line, was_write = stream[cursor]
+                hierarchy.replay(
+                    core, line, was_write and cursor >= clean_until[core]
+                )
+
+
+def _random_capture(rng, num_streams, footprint):
+    """Per-core MRU captures: unequal and empty streams, lines shared
+    across cores (each line once per core), mixed writes."""
+    per_core = []
+    for _ in range(num_streams):
+        n = int(rng.choice([0, int(rng.integers(1, 40)),
+                            int(rng.integers(300, 900))]))
+        lines = rng.choice(footprint, size=n, replace=False).tolist()
+        writes = (rng.random(n) < 0.4).tolist()
+        per_core.append(tuple(zip(lines, writes)))
+    return tuple(per_core)
+
+
+def _hierarchy_state(h):
+    """Everything replay can change, in comparable form."""
+    caches = (*h.l1i, *h.l1d, *h.l2, *h.l3)
+    return {
+        "sets": [[list(s) for s in c._sets] for c in caches],
+        "cache_stats": [vars(c.stats) for c in caches],
+        "owner": dict(h.directory._owner),
+        "sharers": dict(h.directory._sharers),
+        "directory_stats": vars(h.directory.stats),
+        "dram_stats": vars(h.dram.stats),
+        "snapshot": h.snapshot().to_state(),
+    }
+
+
+def _shape_machine(backend, num_sockets, cores_per_socket):
+    machine = replace(
+        tiny_machine(num_sockets=num_sockets,
+                     cores_per_socket=cores_per_socket),
+        hierarchy=backend,
+    )
+    if backend == "complex":
+        half = cores_per_socket // 2
+        machine = replace(
+            machine, topology=TopologyConfig(cores_per_complex=(half, half))
+        )
+    return machine
+
+
+class TestOneCallReplay:
+    """``prepare`` replays the round-robin interleave in one call, and
+    the hierarchy ends exactly where per-entry replay leaves it."""
+
+    @pytest.mark.parametrize("backend", backend_names())
+    @pytest.mark.parametrize(
+        "shape", [(2, 4), (4, 8)], ids=["8-core", "32-core-4-socket"]
+    )
+    def test_matches_per_entry_round_robin(self, backend, shape):
+        machine = _shape_machine(backend, *shape)
+        num_cores = machine.num_cores
+        # Three times the L3's lines, so replay evicts and back-invalidates.
+        footprint = 3 * machine.num_sockets * machine.l3.num_lines
+        rng = np.random.default_rng(1000 + num_cores)
+        make = hierarchy_backend(backend)
+        for num_streams in (num_cores, num_cores - 2):
+            per_core = _random_capture(rng, num_streams, footprint)
+            assert sum(map(len, per_core)) > machine.l3.num_lines
+            fast, oracle = make(machine), make(machine)
+            # Warm state the flush must discard, identical on both sides.
+            for h in (fast, oracle):
+                h.access_block(1, list(range(200)), [True] * 200, 1.0)
+            MRUWarmup(_data(per_core=per_core)).prepare(fast, 3)
+            _oracle_prepare(oracle, per_core)
+            assert _hierarchy_state(fast) == _hierarchy_state(oracle)
+
+    def test_prepare_calls_replay_block_once(self):
+        h = MemoryHierarchy(tiny_machine())  # 4 cores
+        calls = []
+        replay_block = h.replay_block
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            replay_block(*args)
+
+        h.replay_block = counting
+        per_core = tuple(
+            tuple((core * 100 + i, i % 2 == 0) for i in range(5 + core))
+            for core in range(4)
+        )
+        MRUWarmup(_data(per_core=per_core)).prepare(h, 3)
+        assert calls == [sum(map(len, per_core))]
+
+    def test_round_robin_skips_exhausted_columns(self):
+        columns = [[0, 1, 2], [], [10], [20, 21]]
+        assert _round_robin(columns) == [0, 10, 20, 1, 21, 2]
+        assert _round_robin([]) == []
