@@ -69,6 +69,14 @@ SIGNATURE_VARIANTS: dict[str, SignatureConfig] = {
     "combine-1_5": SignatureConfig(kind="combined", ldv_weight_v=5),
 }
 
+#: Every variant a k sweep is fitted for: Fig. 5's seven plus the
+#: section III-A4 ablation's default signature with per-thread vectors
+#: summed instead of concatenated.
+SWEEP_VARIANTS: dict[str, SignatureConfig] = {
+    **SIGNATURE_VARIANTS,
+    "combine-sum": SignatureConfig(kind="combined", thread_mode="sum"),
+}
+
 
 def _ldv_bucket_weights(num_buckets: int, v: float | None) -> np.ndarray:
     """Per-bucket scale factors ``2^(n/v)`` (1.0 when unweighted)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.signatures import SignatureConfig
 from repro.core.speedup import speedup_report
 from repro.experiments.common import CORE_COUNTS, ExperimentRunner
 from repro.util.tables import format_table
@@ -20,22 +19,18 @@ from repro.util.tables import format_table
 def compute_thread_combining(runner: ExperimentRunner) -> list[dict]:
     """Concat-vs-sum error per benchmark (averaged over core counts).
 
-    Concatenation is the default ``combine`` signature, so its selections
-    are the runner's shared ones; summation is clustered here.
+    Concatenation is the default ``combine`` signature and summation the
+    ``combine-sum`` sweep variant; both are the runner's shared selections,
+    so a battery's pool fits them.
     """
-    summed = SignatureConfig(kind="combined", thread_mode="sum")
     rows = []
     for name in runner.benchmarks:
         errors = {"concat": [], "sum": []}
         for nt in CORE_COUNTS:
-            concat = runner.evaluate_perfect(name, nt)
-            errors["concat"].append(concat.runtime_error_pct)
-            pipe = runner.pipeline(nt, summed)
-            sel = pipe.select(
-                runner.workload(name, nt), runner.profiles(name, nt)
-            )
-            result = pipe.evaluate_perfect(sel, runner.full(name, nt))
-            errors["sum"].append(result.runtime_error_pct)
+            for mode, variant in (("concat", "combine"),
+                                  ("sum", "combine-sum")):
+                result = runner.evaluate_perfect(name, nt, variant)
+                errors[mode].append(result.runtime_error_pct)
         rows.append(
             {
                 "benchmark": name,

@@ -91,7 +91,7 @@ EXPERIMENT_NEEDS: dict[str, tuple[str, ...]] = {
     "fig8": _PERFECT,
     "fig9": (*_PERFECT, warmup_kind("mru")),
     "table3": _SELECTION,
-    "ablations": _PERFECT,
+    "ablations": (*_PERFECT, sweep_kind("combine-sum")),
     # The sweep fans out its own (workload, machine) passes inside
     # ``sweep.compute`` — the default-machine prefetch would miss them.
     "sweep": (),

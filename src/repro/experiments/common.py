@@ -50,7 +50,7 @@ from repro.config import (
 from repro.machines import get_machine
 from repro.core.pipeline import BarrierPointPipeline, PipelineResult
 from repro.core.selection import BarrierPointSelection
-from repro.core.signatures import SIGNATURE_VARIANTS, SignatureConfig
+from repro.core.signatures import SWEEP_VARIANTS, SignatureConfig
 from repro.errors import (
     ConfigError,
     RetryExhaustedError,
@@ -62,6 +62,7 @@ from repro.faults import mark_process_sacrificial, maybe_inject, task_attempt
 from repro.profiling.profiler import RegionProfile
 from repro.sim.machine import FullRunResult
 from repro.store import ArtifactStore, code_fingerprint
+from repro.util.blas import cap_blas_threads, usable_cores
 from repro.workloads import WORKLOAD_NAMES, Workload, get_workload
 
 CORE_COUNTS = (8, 32)
@@ -293,9 +294,15 @@ def _pair_label(name: str, num_threads: int, machine: str | None) -> str:
     return f"{name}/{num_threads}t{suffix}"
 
 
-def _worker_init() -> None:
-    """Pool-worker initializer: workers are expendable for crash faults."""
+def _worker_init(workers: int) -> None:
+    """Pool-worker initializer.
+
+    Workers are expendable for crash faults.  Each runs BLAS on at most
+    its share of the usable cores, so a pool of N workers on N cores adds
+    no BLAS threads to the N busy workers.
+    """
     mark_process_sacrificial()
+    cap_blas_threads(max(1, usable_cores() // workers))
 
 
 @contextmanager
@@ -510,7 +517,8 @@ class FaultTolerantFanout:
                 pending.clear()
                 break
             pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_init
+                max_workers=self.workers, initializer=_worker_init,
+                initargs=(self.workers,),
             )
             broken = False
             try:
@@ -629,7 +637,7 @@ def _kind_inputs(kind: str) -> tuple[str, ...]:
     family, _, arg = kind.partition(":")
     if kind in STORED_KINDS:
         return ()
-    if family == "sweep" and arg in SIGNATURE_VARIANTS:
+    if family == "sweep" and arg in SWEEP_VARIANTS:
         return ("profiles",)
     if family == "warmup" and arg in ("mru", "cold"):
         return STORED_KINDS
@@ -1100,7 +1108,7 @@ class ExperimentRunner:
             max_k = self.simpoint.max_k
         key = (name, num_threads, variant, max_k, machine)
         if key not in self._selections:
-            signature = SIGNATURE_VARIANTS[variant]
+            signature = SWEEP_VARIANTS[variant]
             simpoint = replace(self.simpoint, max_k=max_k)
             pipe = self.pipeline(num_threads, signature, simpoint, machine)
             workload = self.workload(name, num_threads)
@@ -1128,7 +1136,7 @@ class ExperimentRunner:
     ) -> PipelineResult:
         """Perfect-warmup evaluation (section VI-A protocol)."""
         sel = self.selection(name, num_threads, variant, max_k)
-        pipe = self.pipeline(num_threads, SIGNATURE_VARIANTS[variant])
+        pipe = self.pipeline(num_threads, SWEEP_VARIANTS[variant])
         return pipe.evaluate_perfect(sel, self.full(name, num_threads), scaling)
 
     def evaluate_warmup(

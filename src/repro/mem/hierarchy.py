@@ -695,7 +695,14 @@ class MemoryHierarchy:
         return stall / mlp
 
     def access_code(self, core: int, code_lines: tuple[int, ...]) -> int:
-        """Instruction-fetch touch of a block's code lines; returns stalls."""
+        """Instruction-fetch touch of a block's code lines; returns stalls.
+
+        Raises:
+            SimulationError: For a core outside the machine.
+        """
+        if not 0 <= core < len(self._ctx):
+            # Inline guard (one call per simulated block).
+            self._check_stream(core, core, 0)
         l1i = self.l1i[core]
         sets = l1i._sets
         set_mask = l1i._set_mask

@@ -319,7 +319,8 @@ class TraceCorpus:
         every backend's verdict of that entry.  Tasks run in parallel
         under the fault-tolerant fan-out; a digest mismatch is a
         *result*, not an exception, so one non-conforming entry never
-        hides the rest of the sweep.
+        hides the rest of the sweep.  Tasks are submitted largest trace
+        first, so no worker idles behind the slowest ones.
 
         Args:
             num_shards: Shard count of the sharded leg (>= 1; capped per
@@ -332,8 +333,8 @@ class TraceCorpus:
                 to accumulate into.
 
         Returns:
-            One dict per (entry, backend): ``label``, ``backend``,
-            ``fingerprint``, the entry's ``unsharded``/``sharded``
+            One dict per (entry, backend), in entry order: ``label``,
+            ``backend``, ``fingerprint``, the entry's ``unsharded``/``sharded``
             profile digests, the backend's
             ``unsharded_full``/``sharded_full`` detailed-run digests,
             and ``ok`` (both pairs equal).
@@ -367,8 +368,10 @@ class TraceCorpus:
         profiler = min(backends)
         entries = self.entries()
         tasks = []
+        sizes = {}
         for entry in entries:
             path = self.resolve(entry)
+            sizes[entry.fingerprint] = path.stat().st_size
             for backend in backends:
                 label = f"{entry.label}@{backend}"
                 tasks.append(FanoutTask(
@@ -387,7 +390,9 @@ class TraceCorpus:
             retry=retry if retry is not None else RetryPolicy.from_env(),
             report=report if report is not None else RunReport(),
         )
-        results = fanout.run(tasks)
+        results = fanout.run(
+            sorted(tasks, key=lambda t: -sizes[t.meta["fingerprint"]])
+        )
         profiles = {
             task.meta["fingerprint"]: results[task.key]
             for task in tasks if task.meta["backend"] == profiler

@@ -10,16 +10,91 @@ scatter histograms (bucket sort).
 Addresses are already line-granular (the workloads allocate arrays in units
 of 64-byte lines), which halves trace volume without changing any cache,
 reuse-distance or warmup behaviour.
+
+The generators that take no rng are pure functions of their arguments, and
+a workload calls them with the same arguments in many regions (one thread's
+partition, a handful of jittered lengths).  Inside :func:`piece_memo` they
+return the arrays built by the first such call, read-only, instead of
+building them again.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.trace.rng import stream_rng
+
+
+T = TypeVar("T")
+
+#: The memo of the workload whose region is being built, or ``None``.
+_ACTIVE_MEMO: ContextVar[dict | None] = ContextVar("piece_memo", default=None)
+
+
+@contextmanager
+def piece_memo(memo: dict | None) -> Iterator[None]:
+    """Serve the memoized generators and :func:`memoized` from ``memo``.
+
+    Args:
+        memo: The dict the pieces are kept in (its owner decides how long
+            they live); ``None`` builds every piece afresh.
+    """
+    token = _ACTIVE_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _ACTIVE_MEMO.reset(token)
+
+
+def memoized(key: tuple, compute: Callable[[], T]) -> T:
+    """``compute()``, evaluated once per ``key`` inside :func:`piece_memo`.
+
+    Outside a memo scope ``compute()`` runs on every call.  Workloads use
+    it for per-(phase, iteration) draws every thread of a region makes
+    (each draw seeds a fresh stream, ~24 us); ``key`` must be unique
+    within the workload's memo.
+    """
+    memo = _ACTIVE_MEMO.get()
+    if memo is None:
+        return compute()
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute()
+        return value
+
+
+def _read_only(piece: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for array in piece:
+        array.flags.writeable = False
+    return piece
+
+
+def _memoized(fn):
+    """Make an rng-free generator reuse its result inside :func:`piece_memo`.
+
+    A memoized piece is shared by every later caller with the same
+    arguments, so its arrays are made read-only.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _ACTIVE_MEMO.get() is None:
+            return fn(*args, **kwargs)
+        return memoized(
+            (fn, args, tuple(kwargs.items())),
+            lambda: _read_only(fn(*args, **kwargs)),
+        )
+
+    return wrapper
 
 
 def _check_positive(**kwargs: int) -> None:
@@ -39,6 +114,7 @@ def concat(
     return lines, writes
 
 
+@_memoized
 def strided_sweep(
     base: int, n_lines: int, stride: int = 1, write: bool = False, repeat: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +132,7 @@ def strided_sweep(
     return lines, writes
 
 
+@_memoized
 def read_modify_write_sweep(
     base: int, n_lines: int, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,6 +145,7 @@ def read_modify_write_sweep(
     return lines, writes
 
 
+@_memoized
 def stencil_sweep(
     base: int, n_lines: int, radius: int = 1, write_center: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +185,7 @@ def random_gather(
     return lines, writes
 
 
+@_memoized
 def blocked_all_to_all(
     base: int,
     lines_per_owner: int,
@@ -168,6 +247,7 @@ def histogram_scatter(
     return lines, writes
 
 
+@_memoized
 def reduction_accumulate(
     base: int, n_lines: int, rounds: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.trace import generators
 from repro.trace.program import BasicBlock, BlockExec, RegionTrace, ThreadTrace
 from repro.trace.rng import stream_rng
 
@@ -83,6 +84,11 @@ class Workload(ABC):
         # REPRO_TRACE_CACHE=0 restores regenerate-per-pass behavior for
         # memory-constrained full-scale runs.
         self._cache_traces = os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
+        # The pieces regions share — rng-free generator arrays, jitter and
+        # other per-(phase, iteration) draws — built once while the trace
+        # cache is on: region_trace serves them through
+        # generators.piece_memo, the one place that turns the memo on.
+        self._memo: dict = {}
         self._build()
         if not self._schedule:
             raise WorkloadError(f"workload {self.name!r} produced an empty schedule")
@@ -129,19 +135,26 @@ class Workload(ABC):
         replays — reads the cached immutable trace instead of re-running
         the generators.  This is a large fraction of end-to-end time on
         workloads with many small regions.
+
+        Treat a trace's ``lines``/``writes`` arrays as read-only.  While the
+        trace cache is on, pieces the generators build with the same
+        arguments are shared across regions (see
+        :func:`repro.trace.generators.piece_memo`) and flagged read-only, so
+        writing to one raises ``ValueError``.
         """
         self._check_region(region_index)
         cached = self._trace_cache.get(region_index)
         if cached is not None:
             return cached
         inst = self._schedule[region_index]
-        threads = tuple(
-            ThreadTrace(
-                thread_id=tid,
-                blocks=tuple(self._build_thread(inst, region_index, tid)),
+        with generators.piece_memo(self._memo if self._cache_traces else None):
+            threads = tuple(
+                ThreadTrace(
+                    thread_id=tid,
+                    blocks=tuple(self._build_thread(inst, region_index, tid)),
+                )
+                for tid in range(self.num_threads)
             )
-            for tid in range(self.num_threads)
-        )
         trace = RegionTrace(
             region_index=region_index, phase=inst.phase, threads=threads
         )
@@ -153,10 +166,12 @@ class Workload(ABC):
         """Regenerate traces on every request (the seed behavior).
 
         Used by the perf benchmarks so the reference measurements reflect
-        the seed system, which re-ran the trace generators on every pass.
+        the seed system, which re-ran the trace generators on every pass:
+        the shared pieces are rebuilt on every call too.
         """
         self._cache_traces = False
         self._trace_cache.clear()
+        self._memo.clear()
 
     def iter_regions(self):
         """Yield every region trace in program order."""
@@ -257,8 +272,12 @@ class Workload(ABC):
         """
         if not 0.0 <= frac < 1.0:
             raise WorkloadError(f"jitter fraction {frac} out of [0, 1)")
-        rng = stream_rng(self.name, "jitter", tag, iteration)
-        return float(1.0 + frac * (2.0 * rng.random() - 1.0))
+
+        def draw() -> float:
+            rng = stream_rng(self.name, "jitter", tag, iteration)
+            return float(1.0 + frac * (2.0 * rng.random() - 1.0))
+
+        return generators.memoized(("jitter", tag, iteration, frac), draw)
 
     def _rng(self, *parts: object) -> np.random.Generator:
         """Deterministic RNG scoped to this workload plus ``parts``.

@@ -79,10 +79,14 @@ class ParsecBodytrack(Workload):
         Drawn deterministically per frame (independent of thread count), so
         the same heterogeneity appears at 8 and 32 cores.
         """
-        rng = self._rng("particles", frame)
-        base = 0.9 + 0.2 * float(rng.random())
-        per_frame = self.array_lines("particles") * base
-        return max(2, round(per_frame * (0.97**layer)))
+
+        def draw() -> int:
+            rng = self._rng("particles", frame)
+            base = 0.9 + 0.2 * float(rng.random())
+            per_frame = self.array_lines("particles") * base
+            return max(2, round(per_frame * (0.97**layer)))
+
+        return gen.memoized(("particles", frame, layer), draw)
 
     def _build_thread(
         self, inst: PhaseInstance, region_index: int, thread_id: int

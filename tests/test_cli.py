@@ -622,7 +622,7 @@ def test_parent_computes_nothing_after_fanout(tmp_path, monkeypatch):
     from repro.core.pipeline import BarrierPointPipeline
     from repro.sim.warmup import MRUWarmup
 
-    names = ["fig3", "fig5", "fig7", "table3"]
+    names = ["fig3", "fig5", "fig7", "table3", "ablations"]
     serial = quick_runner(tmp_path / "serial")
     serial.benchmarks = ("npb-is",)
     expected = battery.run_experiments(serial, names)

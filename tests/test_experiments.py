@@ -18,6 +18,13 @@ from repro.experiments import (
 from repro.errors import ConfigError
 
 
+def _blas_threads_of_worker(_):
+    """Pool task: the worker's OpenBLAS thread counts."""
+    from repro.util.blas import blas_threads
+
+    return blas_threads()
+
+
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(
@@ -33,6 +40,41 @@ class TestCommon:
         assert experiment_machine(32).num_cores == 32
         with pytest.raises(ConfigError):
             experiment_machine(16)
+
+    def test_pool_workers_pin_blas_threads(self):
+        """A pool of N workers on N cores adds no BLAS threads."""
+        from repro.experiments.common import FanoutTask, FaultTolerantFanout
+        from repro.util.blas import blas_threads, usable_cores
+
+        parent = blas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS loaded")
+        fanout = FaultTolerantFanout(fn=_blas_threads_of_worker, workers=2)
+        results = fanout.run([FanoutTask(key="blas", label="blas", args=(0,))])
+        share = min(min(parent), max(1, usable_cores() // 2))
+        assert results["blas"] and set(results["blas"]) == {share}
+
+    def test_pool_worker_init_never_raises_blas_threads(self):
+        """A worker whose OpenBLAS already runs one thread stays at one.
+
+        ``OPENBLAS_NUM_THREADS=1`` or a small affinity mask leaves the
+        library below the worker's share of the cores; the initializer
+        must not grow it.
+        """
+        from repro.experiments.common import _worker_init
+        from repro.faults import mark_process_sacrificial
+        from repro.util.blas import blas_threads, set_blas_threads
+
+        parent = blas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS loaded")
+        set_blas_threads(1)
+        try:
+            _worker_init(1)  # a one-worker share is every usable core
+            assert set(blas_threads()) == {1}
+        finally:
+            mark_process_sacrificial(False)
+            set_blas_threads(max(parent))
 
     def test_memoization(self, runner):
         first = runner.full("npb-is", 8)

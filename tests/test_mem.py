@@ -274,7 +274,9 @@ class TestMemoryHierarchy:
         lambda h: h.replay(-1, 5, True),
         lambda h: h.access_block(-1, [5], [True], 1.0),
         lambda h: h.replay_block([0, 3, -1, 2], [5, 6, 7, 8], [True] * 4),
-    ], ids=["replay_block", "replay", "access_block", "mid-column"])
+        lambda h: h.access_code(-1, (5,)),
+    ], ids=["replay_block", "replay", "access_block", "mid-column",
+            "access_code"])
     def test_negative_core_rejected(self, call):
         """A negative core used to index ``_ctx`` from the end: line 5
         landed in core 7's L1 with neither owner nor sharer recorded."""
@@ -284,12 +286,14 @@ class TestMemoryHierarchy:
         with pytest.raises(SimulationError, match="core -1 out of range"):
             call(h)
         assert not h.l1d[7].contains(5)
+        assert not h.l1i[7].contains(5)
         assert h.directory.owner(5) == -1
 
     @pytest.mark.parametrize("call", [
         lambda h: h.replay_block([0, 8], [5, 6], [True, False]),
         lambda h: h.access_block(8, [5], [True], 1.0),
-    ], ids=["replay_block", "access_block"])
+        lambda h: h.access_code(8, (5,)),
+    ], ids=["replay_block", "access_block", "access_code"])
     def test_core_past_machine_rejected(self, call):
         from repro.errors import SimulationError
 

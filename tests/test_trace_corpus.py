@@ -162,6 +162,35 @@ class TestConformanceSweep:
         assert len(results) == len(corpus.entries()) * len(BACKENDS)
         assert len(calls) == 2 * len(corpus.entries())
 
+    def test_submits_largest_trace_first(
+        self, tmp_path, golden_manifest, monkeypatch
+    ):
+        """Tasks run largest trace first; verdicts keep entry order."""
+        import repro.trace.corpus as corpus_module
+
+        corpus = TraceCorpus(ArtifactStore(root=tmp_path / "store"), "up")
+        by_size = sorted(
+            (DATA_DIR / spec["file"] for spec in golden_manifest["traces"]),
+            key=lambda path: path.stat().st_size,
+        )
+        for path in by_size:  # smallest recorded first
+            corpus.add_trace(path)
+        sizes = []
+        task = corpus_module._verify_conformance_task
+
+        def recording_task(path, *args):
+            sizes.append(pathlib.Path(path).stat().st_size)
+            return task(path, *args)
+
+        monkeypatch.setattr(
+            corpus_module, "_verify_conformance_task", recording_task
+        )
+        results = corpus.verify()
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+        assert [(r["label"], r["backend"]) for r in results] == [
+            (e.label, b) for e in corpus.entries() for b in BACKENDS
+        ]
+
     def test_profile_mismatch_fails_every_backend_row_of_the_entry(
         self, corpus, monkeypatch
     ):

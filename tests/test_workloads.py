@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import WORKLOAD_NAMES, get_workload
+from repro.workloads import _REGISTRY, WORKLOAD_NAMES, get_workload
 from repro.workloads.base import PhaseInstance
 
 PAPER_BARRIERS = {
@@ -231,3 +231,101 @@ class TestAllocator:
         spans.sort()
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end <= start
+
+
+def _trace_bytes(workload, regions: int) -> bytes:
+    """Every byte of the first ``regions`` region traces, in order."""
+    parts = []
+    for idx in range(min(regions, workload.num_regions)):
+        trace = workload.region_trace(idx)
+        for thread in trace.threads:
+            for b in thread.blocks:
+                parts.append(
+                    f"{trace.phase}|{thread.thread_id}|{b.block.bb_id}|"
+                    f"{b.count}|{b.lines.dtype}|{b.writes.dtype}|".encode()
+                )
+                parts += [b.lines.tobytes(), b.writes.tobytes()]
+    return b"".join(parts)
+
+
+class TestPieceMemo:
+    """Shared trace pieces are built once per workload while traces are
+    cached, and afresh on every call when they are not."""
+
+    @pytest.mark.parametrize("threads", [8, 32])
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    def test_memo_is_byte_identical(self, name, threads):
+        # 100 regions span several loop trips of every workload, so the
+        # later regions are built from memoized pieces.
+        memoized = get_workload(name, threads, scale=SMALL)
+        fresh = get_workload(name, threads, scale=SMALL)
+        fresh.disable_trace_cache()
+        assert _trace_bytes(memoized, 100) == _trace_bytes(fresh, 100)
+        assert memoized._memo and not fresh._memo
+
+    def test_pieces_are_read_only_and_shared_across_regions(self):
+        workload = get_workload("parsec-bodytrack", 4, scale=SMALL)
+        # The image-load regions of frames 0 and 1 sweep the same lines.
+        first, second = (
+            workload.region_trace(i).threads[1].blocks[1]
+            for i, inst in enumerate(workload._schedule)
+            if inst.phase == "load" and inst.iteration < 2
+        )
+        assert first.lines is second.lines
+        assert first.writes is second.writes
+        assert not first.lines.flags.writeable
+        with pytest.raises(ValueError):
+            first.lines[0] = 0
+
+    def test_generators_outside_a_workload_build_afresh(self):
+        from repro.trace import generators as gen
+
+        a, b = gen.strided_sweep(10, 4), gen.strided_sweep(10, 4)
+        assert a[0] is not b[0] and a[0].flags.writeable
+        memo: dict = {}
+        with gen.piece_memo(memo):
+            c, d = gen.strided_sweep(10, 4), gen.strided_sweep(10, 4)
+        assert c is d and len(memo) == 1
+        assert np.array_equal(a[0], c[0]) and not c[0].flags.writeable
+
+    @pytest.mark.parametrize("off", ["disable_trace_cache", "env"])
+    def test_no_memo_without_the_trace_cache(self, off, monkeypatch):
+        """The seed side of the perf benchmark regenerates every piece."""
+        from repro.trace import generators as gen
+        from repro.workloads import base
+
+        calls = {"pieces": 0, "draws": 0}
+        check, stream = gen._check_positive, base.stream_rng
+
+        def counting_check(**kwargs):
+            calls["pieces"] += 1
+            return check(**kwargs)
+
+        def counting_stream(*parts):
+            calls["draws"] += 1
+            return stream(*parts)
+
+        monkeypatch.setattr(gen, "_check_positive", counting_check)
+        monkeypatch.setattr(base, "stream_rng", counting_stream)
+
+        def one_pass(workload) -> dict:
+            before = dict(calls)
+            for idx in range(40):
+                workload.region_trace(idx)
+            return {k: calls[k] - before[k] for k in calls}
+
+        cached = one_pass(get_workload("npb-lu", 4, scale=SMALL))
+        if off == "env":
+            monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+            workload = get_workload("npb-lu", 4, scale=SMALL)
+        else:
+            workload = get_workload("npb-lu", 4, scale=SMALL)
+            workload.disable_trace_cache()
+        first, second = one_pass(workload), one_pass(workload)
+        # 37 jittered regions x 4 threads: one piece call per generator
+        # call and one stream per jitter draw, on every pass.
+        assert first == second
+        assert first["draws"] == 37 * 4
+        assert first["pieces"] > 4 * cached["pieces"]
+        assert cached["draws"] == 37
+        assert not workload._memo
